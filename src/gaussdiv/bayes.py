@@ -13,7 +13,7 @@ import scipy.linalg
 
 from .errors import DimMismatch, NotPositive
 from .gaussian import GaussianMeasure
-from .operators import DEFAULT_TOL, ToleranceConfig, TraceClassBlock
+from .operators import DEFAULT_TOL, TraceClassBlock
 
 
 class LinearGaussianModel:
@@ -21,14 +21,13 @@ class LinearGaussianModel:
 
     __slots__ = ("forward", "noise_cov", "prior", "observation")
 
-    def __init__(self, forward, noise_cov, prior: GaussianMeasure, observation,
-                 tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, forward, noise_cov, prior: GaussianMeasure, observation):
         a = np.array(forward, dtype=float)
         if a.ndim != 2:
             raise ValueError(f"forward map must be a matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("forward map contains NaN or Inf")
-        gamma = noise_cov if isinstance(noise_cov, TraceClassBlock) else TraceClassBlock(noise_cov, tol)
+        gamma = noise_cov if isinstance(noise_cov, TraceClassBlock) else TraceClassBlock(noise_cov)
         y = np.array(observation, dtype=float)
         if y.ndim != 1 or not np.all(np.isfinite(y)):
             raise ValueError("observation must be a finite vector")
@@ -39,9 +38,9 @@ class LinearGaussianModel:
             raise DimMismatch(f"prior dim {prior.dim} does not match forward columns {dim}")
         if y.shape[0] != obs_dim:
             raise DimMismatch(f"observation length {y.shape[0]} does not match forward rows {obs_dim}")
-        if float(np.min(np.linalg.eigvalsh(gamma.entries))) <= tol.psd_clip:
+        if float(np.min(np.linalg.eigvalsh(gamma.entries))) <= DEFAULT_TOL.psd_clip:
             raise NotPositive("noise covariance must be strictly positive definite")
-        if float(np.min(np.linalg.eigvalsh(prior.cov.entries))) <= tol.psd_clip:
+        if float(np.min(np.linalg.eigvalsh(prior.cov.entries))) <= DEFAULT_TOL.psd_clip:
             raise NotPositive("prior covariance must be strictly positive definite")
         a.flags.writeable = False
         y.flags.writeable = False
@@ -79,8 +78,8 @@ class LinearGaussianModel:
         return f"LinearGaussianModel(dim={self.dim}, obs_dim={self.obs_dim})"
 
 
-def _obs_factor(model: LinearGaussianModel):
-    """Cholesky factor of Gamma + A C0 A^T, the observation-space system matrix."""
+def _update(model: LinearGaussianModel):
+    """Posterior measure and the Cholesky factor of ``Gamma + A C0 A^T`` it was solved with."""
     a = model.forward
     ac0 = a @ model.prior.cov.entries
     k = model.noise_cov.entries + ac0 @ a.T
@@ -88,24 +87,23 @@ def _obs_factor(model: LinearGaussianModel):
         factor = scipy.linalg.cho_factor(0.5 * (k + k.T), lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositive("observation-space system matrix is not positive definite") from exc
-    return factor, ac0
+    innovation = model.observation - a @ model.prior.mean
+    mean = model.prior.mean + ac0.T @ scipy.linalg.cho_solve(factor, innovation)
+    cov = model.prior.cov.entries - ac0.T @ scipy.linalg.cho_solve(factor, ac0)
+    return GaussianMeasure(mean, TraceClassBlock(0.5 * (cov + cov.T))), factor
 
 
-def posterior(model: LinearGaussianModel, tol: ToleranceConfig = DEFAULT_TOL) -> GaussianMeasure:
+def posterior(model: LinearGaussianModel) -> GaussianMeasure:
     """Posterior measure of ``u`` given ``y``.
 
     ``m = m0 + C0 A^T (Gamma + A C0 A^T)^{-1} (y - A m0)`` and
     ``C = C0 - C0 A^T (Gamma + A C0 A^T)^{-1} A C0``, both via one
     observation-space Cholesky solve.
     """
-    factor, ac0 = _obs_factor(model)
-    innovation = model.observation - model.forward @ model.prior.mean
-    mean = model.prior.mean + ac0.T @ scipy.linalg.cho_solve(factor, innovation)
-    cov = model.prior.cov.entries - ac0.T @ scipy.linalg.cho_solve(factor, ac0)
-    return GaussianMeasure(mean, TraceClassBlock(0.5 * (cov + cov.T), tol), tol)
+    return _update(model)[0]
 
 
-def kl_posterior_prior(model: LinearGaussianModel, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def kl_posterior_prior(model: LinearGaussianModel) -> float:
     """Closed-form ``D_KL(posterior || prior)`` evaluated in observation space.
 
     ``1/2 [ log det(Gamma + A C0 A^T) - log det Gamma
@@ -114,8 +112,7 @@ def kl_posterior_prior(model: LinearGaussianModel, tol: ToleranceConfig = DEFAUL
     collapse to ``log det(I + A C0 A^T)``.  Agrees with the whitened-spectrum
     KL of the posterior against the prior.
     """
-    factor, _ = _obs_factor(model)
-    post = posterior(model, tol)
+    post, factor = _update(model)
     a = model.forward
     logdet_k = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
     try:

@@ -16,26 +16,21 @@ eigendecomposition per pair serves every divergence.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, DimMismatch, IllConditioned, NotPositive, NotPSD, SingularPair
+from .errors import DimMismatch, NotPositive, NotPSD, SingularPair
 from .logdet import alpha_logdet
 from .operators import (
     DEFAULT_TOL,
     ShiftedOperator,
     Spectrum,
-    ToleranceConfig,
     TraceClassBlock,
+    psd_inv_sqrt,
     shifted_combine,
     sym_eigen,
 )
-
-# Whitening against a base covariance with condition number beyond this is
-# numerically suspect; results still return, with a warning attached.
-CONDITION_WARN = 1e12
 
 
 class GaussianMeasure:
@@ -43,18 +38,18 @@ class GaussianMeasure:
 
     __slots__ = ("mean", "cov")
 
-    def __init__(self, mean, cov, tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, mean, cov):
         m = np.array(mean, dtype=float)
         if m.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("mean contains NaN or Inf")
         if not isinstance(cov, TraceClassBlock):
-            cov = TraceClassBlock(cov, tol)
+            cov = TraceClassBlock(cov)
         if m.shape[0] != cov.dim:
             raise DimMismatch(f"mean length {m.shape[0]} does not match cov dim {cov.dim}")
         lam_min = float(np.min(np.linalg.eigvalsh(cov.entries))) if cov.dim else 0.0
-        if cov.dim and lam_min < -tol.psd_clip:
+        if cov.dim and lam_min < -DEFAULT_TOL.psd_clip:
             raise NotPSD("covariance has a genuinely negative eigenvalue")
         m.flags.writeable = False
         self.mean = m
@@ -87,33 +82,19 @@ class EquivalenceData:
     eigendecomposition, ``delta`` the whitened mean difference, and
     ``singular`` flags a maximal eigenvalue of ``S`` within
     ``singular_margin`` of 1, i.e. a mutually singular pair.
+    ``base_inv_sqrt`` is the whitening matrix ``mu.cov^{-1/2}`` and ``pair``
+    the ``(nu, mu)`` the record was built from.
     """
 
     s_block: TraceClassBlock
     s_spectrum: Spectrum
     delta: np.ndarray
     singular: bool
+    base_inv_sqrt: np.ndarray
+    pair: tuple[GaussianMeasure, GaussianMeasure]
 
 
-def _base_inv_sqrt(mu: GaussianMeasure, tol: ToleranceConfig) -> np.ndarray:
-    """Inverse square root of the base covariance, with degeneracy and conditioning checks."""
-    spec = sym_eigen(mu.cov)
-    lam = spec.eigenvalues
-    if lam.size == 0 or float(np.min(lam)) <= tol.psd_clip:
-        raise Degenerate("base covariance is not strictly positive definite")
-    if float(np.max(lam)) / float(np.min(lam)) > CONDITION_WARN:
-        warnings.warn(
-            "base covariance condition number exceeds 1e12; whitening is unreliable",
-            IllConditioned,
-            stacklevel=3,
-        )
-    w = (spec.eigenvectors * (1.0 / np.sqrt(lam))) @ spec.eigenvectors.T
-    return 0.5 * (w + w.T)
-
-
-def equivalence_data(
-    nu: GaussianMeasure, mu: GaussianMeasure, tol: ToleranceConfig = DEFAULT_TOL
-) -> EquivalenceData:
+def equivalence_data(nu: GaussianMeasure, mu: GaussianMeasure) -> EquivalenceData:
     """Whiten ``nu`` against ``mu``: compute ``S``, ``delta``, and the singularity flag.
 
     Raises
@@ -122,35 +103,45 @@ def equivalence_data(
         if ``mu.cov`` has an eigenvalue at or below ``psd_clip``.
     DimMismatch
         if the measures live on different spaces.
+
+    Warns :class:`~gaussdiv.errors.IllConditioned` when ``mu.cov`` has a
+    condition number beyond ``CONDITION_WARN``.
     """
     if nu.dim != mu.dim:
         raise DimMismatch(f"measure dims differ: {nu.dim} vs {mu.dim}")
-    w = _base_inv_sqrt(mu, tol)
+    w = psd_inv_sqrt(mu.cov).entries
     s_mat = np.eye(nu.dim) - w @ nu.cov.entries @ w
-    s_block = TraceClassBlock(0.5 * (s_mat + s_mat.T), tol)
+    s_block = TraceClassBlock(0.5 * (s_mat + s_mat.T))
     s_spectrum = sym_eigen(s_block)
     delta = w @ (nu.mean - mu.mean)
     singular = bool(
         s_spectrum.eigenvalues.size
-        and float(s_spectrum.eigenvalues[0]) >= 1.0 - tol.singular_margin
+        and float(s_spectrum.eigenvalues[0]) >= 1.0 - DEFAULT_TOL.singular_margin
     )
     delta.flags.writeable = False
-    return EquivalenceData(s_block, s_spectrum, delta, singular)
+    return EquivalenceData(s_block, s_spectrum, delta, singular, w, (nu, mu))
 
 
-def _data_for(
-    nu: GaussianMeasure,
-    mu: GaussianMeasure,
-    data: EquivalenceData | None,
-    tol: ToleranceConfig,
+def _equivalent_data(
+    nu: GaussianMeasure, mu: GaussianMeasure, data: EquivalenceData | None
 ) -> EquivalenceData:
-    return equivalence_data(nu, mu, tol) if data is None else data
+    """``data`` for ``(nu, mu)``, built when absent, for an equivalent pair only.
 
-
-def _require_equivalent(data: EquivalenceData) -> EquivalenceData:
+    Raises ``ValueError`` when ``data`` was built from another pair and
+    :class:`~gaussdiv.errors.SingularPair` when the pair is mutually singular.
+    """
+    if data is None:
+        data = equivalence_data(nu, mu)
+    elif data.pair[0] is not nu or data.pair[1] is not mu:
+        raise ValueError("data was built for a different pair of measures")
     if data.singular:
         raise SingularPair("measures are mutually singular; exact divergence is +inf")
     return data
+
+
+def _hellinger(d_b: float) -> float:
+    """Hellinger distance ``sqrt(2 (1 - exp(-D_B)))`` from a Bhattacharyya distance."""
+    return math.sqrt(max(0.0, 2.0 * (1.0 - math.exp(-d_b))))
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +154,13 @@ def exact_kl(
     mu: GaussianMeasure,
     *,
     data: EquivalenceData | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Exact ``D_KL(nu || mu)``: ``1/2 ||delta||^2 - 1/2 sum_k [log(1-a_k) + a_k]``.
 
     The covariance part is the log Hilbert-Carleman determinant of ``I - S``,
     negated; it is nonpositive, vanishing only for ``S = 0``.
     """
-    data = _require_equivalent(_data_for(nu, mu, data, tol))
+    data = _equivalent_data(nu, mu, data)
     a = data.s_spectrum.eigenvalues
     cov_term = -0.5 * float(np.sum(np.log1p(-a) + a))
     return 0.5 * float(data.delta @ data.delta) + cov_term
@@ -182,7 +172,6 @@ def exact_renyi(
     r: float,
     *,
     data: EquivalenceData | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Exact Renyi divergence of order ``r`` in (0, 1), normalized as
     ``-1/(r(1-r)) log integral (dnu)^r (dmu)^{1-r}``.
@@ -194,13 +183,13 @@ def exact_renyi(
     if not math.isfinite(r) or not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r}")
     if r == 1.0:
-        return exact_kl(nu, mu, data=data, tol=tol)
+        return exact_kl(nu, mu, data=data)
     if r == 0.0:
-        return exact_kl(mu, nu, tol=tol)
-    data = _require_equivalent(_data_for(nu, mu, data, tol))
+        return exact_kl(mu, nu)
+    data = _equivalent_data(nu, mu, data)
     a = data.s_spectrum.eigenvalues
     weights = 1.0 - (1.0 - r) * a
-    if weights.size and float(np.min(weights)) <= tol.singular_margin:
+    if weights.size and float(np.min(weights)) <= DEFAULT_TOL.singular_margin:
         raise NotPositive("I - (1-r) S is not positive definite")
     d_hat = data.s_spectrum.eigenvectors.T @ data.delta
     mean_term = 0.5 * float(np.sum(d_hat * d_hat / weights))
@@ -213,10 +202,9 @@ def exact_bhattacharyya(
     mu: GaussianMeasure,
     *,
     data: EquivalenceData | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Exact Bhattacharyya distance; identically one quarter of the order-1/2 Renyi."""
-    return 0.25 * exact_renyi(nu, mu, 0.5, data=data, tol=tol)
+    return 0.25 * exact_renyi(nu, mu, 0.5, data=data)
 
 
 def exact_hellinger(
@@ -224,11 +212,9 @@ def exact_hellinger(
     mu: GaussianMeasure,
     *,
     data: EquivalenceData | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Exact Hellinger distance ``sqrt(2 (1 - exp(-D_B)))``, in [0, sqrt(2))."""
-    d_b = exact_bhattacharyya(nu, mu, data=data, tol=tol)
-    return math.sqrt(max(0.0, 2.0 * (1.0 - math.exp(-d_b))))
+    return _hellinger(exact_bhattacharyya(nu, mu, data=data))
 
 
 def log_radon_nikodym_batch(
@@ -237,7 +223,6 @@ def log_radon_nikodym_batch(
     mu: GaussianMeasure,
     *,
     data: EquivalenceData | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> np.ndarray:
     """Vectorized ``log (dnu/dmu)`` over the rows of ``points`` (n x dim).
 
@@ -246,13 +231,13 @@ def log_radon_nikodym_batch(
         log rn(x) = -1/2 log det(I-S) - 1/2 <x_t, S(I-S)^{-1} x_t>
                     + <x_t, (I-S)^{-1} delta> - 1/2 <delta, (I-S)^{-1} delta>
     """
-    data = _require_equivalent(_data_for(nu, mu, data, tol))
+    data = _equivalent_data(nu, mu, data)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != mu.dim:
         raise DimMismatch(f"points have dim {points.shape[1]}, measures have dim {mu.dim}")
     if not np.all(np.isfinite(points)):
         raise ValueError("points contain NaN or Inf")
-    w = _base_inv_sqrt(mu, tol)
+    w = data.base_inv_sqrt
     a = data.s_spectrum.eigenvalues
     v = data.s_spectrum.eigenvectors
     one_minus = 1.0 - a
@@ -270,13 +255,12 @@ def log_radon_nikodym(
     mu: GaussianMeasure,
     *,
     data: EquivalenceData | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Log Radon-Nikodym derivative ``log (dnu/dmu)(x)`` at a single point."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"x must be a vector, got shape {x.shape}")
-    return float(log_radon_nikodym_batch(x[None, :], nu, mu, data=data, tol=tol)[0])
+    return float(log_radon_nikodym_batch(x[None, :], nu, mu, data=data)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +296,7 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def regularized_kl(
-    nu: GaussianMeasure,
-    mu: GaussianMeasure,
-    gamma: float,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> float:
+def regularized_kl(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float) -> float:
     """Regularized KL: quadratic form in ``(C_mu + gamma I)^{-1}`` plus half the
     alpha = 1 log-det divergence of the shifted covariances.
 
@@ -326,16 +305,10 @@ def regularized_kl(
     """
     gamma = _check_gamma(gamma)
     x, y, dm = _shift_pair(nu, mu, gamma)
-    return 0.5 * _quad_form(y, dm) + 0.5 * alpha_logdet(1.0, x, y, tol).value
+    return 0.5 * _quad_form(y, dm) + 0.5 * alpha_logdet(1.0, x, y).value
 
 
-def regularized_renyi(
-    nu: GaussianMeasure,
-    mu: GaussianMeasure,
-    r: float,
-    gamma: float,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> float:
+def regularized_renyi(nu: GaussianMeasure, mu: GaussianMeasure, r: float, gamma: float) -> float:
     """Regularized Renyi of order ``r``: the quadratic form uses the blend
     ``(1-r)(C_nu + gamma I) + r(C_mu + gamma I)`` and the log-det part is
     ``d^{2r-1}/2``.  ``r = 1`` and ``r = 0`` redirect to the two KL directions.
@@ -344,31 +317,20 @@ def regularized_renyi(
     if not math.isfinite(r) or not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r}")
     if r == 1.0:
-        return regularized_kl(nu, mu, gamma, tol)
+        return regularized_kl(nu, mu, gamma)
     if r == 0.0:
-        return regularized_kl(mu, nu, gamma, tol)
+        return regularized_kl(mu, nu, gamma)
     gamma = _check_gamma(gamma)
     x, y, dm = _shift_pair(nu, mu, gamma)
     blend = shifted_combine([(1.0 - r, x), (r, y)])
-    return 0.5 * _quad_form(blend, dm) + 0.5 * alpha_logdet(2.0 * r - 1.0, x, y, tol).value
+    return 0.5 * _quad_form(blend, dm) + 0.5 * alpha_logdet(2.0 * r - 1.0, x, y).value
 
 
-def regularized_bhattacharyya(
-    nu: GaussianMeasure,
-    mu: GaussianMeasure,
-    gamma: float,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> float:
+def regularized_bhattacharyya(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float) -> float:
     """Regularized Bhattacharyya distance, one quarter of the order-1/2 Renyi."""
-    return 0.25 * regularized_renyi(nu, mu, 0.5, gamma, tol)
+    return 0.25 * regularized_renyi(nu, mu, 0.5, gamma)
 
 
-def regularized_hellinger(
-    nu: GaussianMeasure,
-    mu: GaussianMeasure,
-    gamma: float,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> float:
+def regularized_hellinger(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float) -> float:
     """Regularized Hellinger distance ``sqrt(2 (1 - exp(-D_B^gamma)))``, in [0, sqrt(2))."""
-    d_b = regularized_bhattacharyya(nu, mu, gamma, tol)
-    return math.sqrt(max(0.0, 2.0 * (1.0 - math.exp(-d_b))))
+    return _hellinger(regularized_bhattacharyya(nu, mu, gamma))

@@ -25,18 +25,13 @@ from .errors import NotPositive, SingularPair
 from .gaussian import (
     EquivalenceData,
     GaussianMeasure,
+    _hellinger,
     equivalence_data,
-    exact_bhattacharyya,
-    exact_hellinger,
-    exact_kl,
     exact_renyi,
     log_radon_nikodym_batch,
-    regularized_bhattacharyya,
-    regularized_hellinger,
-    regularized_kl,
     regularized_renyi,
 )
-from .operators import DEFAULT_TOL, ToleranceConfig, TraceClassBlock, psd_sqrt, sym_eigen
+from .operators import DEFAULT_TOL, TraceClassBlock, psd_sqrt, sym_eigen
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
@@ -46,7 +41,17 @@ STREAM_ORTHO = 1  # random orthogonal frame in gen_measure
 STREAM_MEAN = 2  # mean vector in gen_measure
 STREAM_SAMPLE = 3  # Gaussian sample matrices
 
-DIVERGENCE_KINDS = ("kl", "renyi", "bhatt", "hellinger")
+# Every kind is a Renyi value at a fixed order (None: the caller's ``r``)
+# passed through a transform.  The table holds no ``gaussian`` functions, so
+# a caller that rebinds this module's ``exact_renyi`` or ``regularized_renyi``
+# sees every dispatched call.
+_KIND_TABLE = {
+    "kl": (1.0, float),
+    "renyi": (None, float),
+    "bhatt": (0.5, lambda d: 0.25 * d),
+    "hellinger": (0.5, lambda d: _hellinger(0.25 * d)),
+}
+DIVERGENCE_KINDS = tuple(_KIND_TABLE)
 
 
 def split_seed(seed: int, index: int) -> int:
@@ -126,25 +131,26 @@ class SpectrumFamily:
         return np.sort(np.array(self.values, dtype=float))[::-1]
 
 
+def _haar_frame(seed: int, dim: int) -> np.ndarray:
+    """Haar-distributed orthogonal ``dim x dim`` frame: QR of a Gaussian matrix with the sign fix."""
+    q, r = np.linalg.qr(standard_normal(seed, STREAM_ORTHO, (dim, dim)))
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
 def gen_measure(family: SpectrumFamily, seed: int, mean_scale: float = 0.0) -> GaussianMeasure:
     """Random Gaussian measure with the family's spectrum, deterministic in ``seed``.
 
-    The covariance is ``V diag(lambda) V^T`` for a Haar-ish orthogonal ``V``
-    (QR of a Gaussian matrix with the sign fix); the mean is ``mean_scale``
-    times a standard normal vector.
+    The covariance is ``V diag(lambda) V^T`` for a Haar orthogonal ``V``; the
+    mean is ``mean_scale`` times a standard normal vector.
     """
     mean_scale = float(mean_scale)
     if mean_scale < 0:
         raise ValueError("mean_scale must be nonnegative")
-    lam = family.eigenvalues()
-    dim = family.dim
-    gauss = standard_normal(seed, STREAM_ORTHO, (dim, dim))
-    q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
-    cov = (q * lam) @ q.T
-    mean = mean_scale * standard_normal(seed, STREAM_MEAN, dim)
+    q = _haar_frame(seed, family.dim)
+    cov = (q * family.eigenvalues()) @ q.T
+    mean = mean_scale * standard_normal(seed, STREAM_MEAN, family.dim)
     return GaussianMeasure(mean, TraceClassBlock(0.5 * (cov + cov.T)))
 
 
@@ -194,7 +200,6 @@ def gauss_exp_quadratic(
     measure: GaussianMeasure,
     m_op: TraceClassBlock,
     b: np.ndarray,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Closed form of ``integral exp(1/2 <Mx,x> + <b,x>) dN(0, Q)``.
 
@@ -209,11 +214,11 @@ def gauss_exp_quadratic(
         raise ValueError(f"b must be a vector of length {measure.dim}")
     if m_op.dim != measure.dim:
         raise ValueError(f"M has dim {m_op.dim}, measure has dim {measure.dim}")
-    root = psd_sqrt(measure.cov, tol).entries
+    root = psd_sqrt(measure.cov).entries
     t_mat = root @ m_op.entries @ root
-    spec = sym_eigen(TraceClassBlock(0.5 * (t_mat + t_mat.T), tol))
+    spec = sym_eigen(TraceClassBlock(0.5 * (t_mat + t_mat.T)))
     t_eig = spec.eigenvalues
-    if t_eig.size and float(np.max(t_eig)) >= 1.0 - tol.singular_margin:
+    if t_eig.size and float(np.max(t_eig)) >= 1.0 - DEFAULT_TOL.singular_margin:
         raise NotPositive("I - Q^{1/2} M Q^{1/2} is not positive definite")
     b_hat = spec.eigenvectors.T @ (root @ b)
     log_val = -0.5 * float(np.sum(np.log1p(-t_eig))) + 0.5 * float(
@@ -295,14 +300,18 @@ def _record(param: float, regularized: float, exact: float) -> SweepRecord:
     return SweepRecord(float(param), float(regularized), float(exact), abs_err, rel_err)
 
 
-def _check_kind(kind: str, r: float | None) -> None:
-    if kind not in DIVERGENCE_KINDS:
+def _kind_order(kind: str, r: float | None):
+    """Validate ``(kind, r)``; return the Renyi order and the transform of its value."""
+    if kind not in _KIND_TABLE:
         raise ValueError(f"unknown divergence kind {kind!r}; expected one of {DIVERGENCE_KINDS}")
-    if kind == "renyi":
+    order, transform = _KIND_TABLE[kind]
+    if order is None:
         if r is None or not 0.0 < float(r) < 1.0:
             raise ValueError("the renyi kind needs an order r strictly inside (0, 1)")
+        order = float(r)
     elif r is not None:
         raise ValueError(f"order r only applies to renyi, not {kind!r}")
+    return order, transform
 
 
 def exact_divergence(
@@ -312,17 +321,10 @@ def exact_divergence(
     r: float | None = None,
     *,
     data: EquivalenceData | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Exact divergence dispatch by kind (``kl``, ``renyi``, ``bhatt``, ``hellinger``)."""
-    _check_kind(kind, r)
-    if kind == "kl":
-        return exact_kl(nu, mu, data=data, tol=tol)
-    if kind == "renyi":
-        return exact_renyi(nu, mu, float(r), data=data, tol=tol)
-    if kind == "bhatt":
-        return exact_bhattacharyya(nu, mu, data=data, tol=tol)
-    return exact_hellinger(nu, mu, data=data, tol=tol)
+    order, transform = _kind_order(kind, r)
+    return transform(exact_renyi(nu, mu, order, data=data))
 
 
 def regularized_divergence(
@@ -331,17 +333,10 @@ def regularized_divergence(
     kind: str,
     gamma: float,
     r: float | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Regularized divergence dispatch by kind, at shift ``gamma > 0``."""
-    _check_kind(kind, r)
-    if kind == "kl":
-        return regularized_kl(nu, mu, gamma, tol)
-    if kind == "renyi":
-        return regularized_renyi(nu, mu, float(r), gamma, tol)
-    if kind == "bhatt":
-        return regularized_bhattacharyya(nu, mu, gamma, tol)
-    return regularized_hellinger(nu, mu, gamma, tol)
+    order, transform = _kind_order(kind, r)
+    return transform(regularized_renyi(nu, mu, order, gamma))
 
 
 def sweep_gamma(
@@ -350,33 +345,26 @@ def sweep_gamma(
     kind: str,
     grid,
     r: float | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> list[SweepRecord]:
     """Regularized-vs-exact comparison along a strictly decreasing gamma grid.
 
     The exact column is constant; for equivalent pairs the abs_err column
     shrinks toward zero as gamma does.
     """
-    _check_kind(kind, r)
+    _kind_order(kind, r)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.min(grid) <= 0.0:
         raise ValueError("gamma grid must be nonempty and strictly positive")
     if grid.size > 1 and np.any(np.diff(grid) >= 0.0):
         raise ValueError("gamma grid must be strictly decreasing")
-    data = equivalence_data(nu, mu, tol)
+    data = equivalence_data(nu, mu)
     if data.singular:
         raise SingularPair("measures are mutually singular; exact column is undefined")
-    exact = exact_divergence(nu, mu, kind, r, data=data, tol=tol)
-    return [_record(g, regularized_divergence(nu, mu, kind, float(g), r, tol=tol), exact) for g in grid]
+    exact = exact_divergence(nu, mu, kind, r, data=data)
+    return [_record(g, regularized_divergence(nu, mu, kind, float(g), r), exact) for g in grid]
 
 
-def sweep_r(
-    nu: GaussianMeasure,
-    mu: GaussianMeasure,
-    gamma: float,
-    grid,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> list[SweepRecord]:
+def sweep_r(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float, grid) -> list[SweepRecord]:
     """Renyi order sweep; ``gamma = 0`` selects the exact divergences.
 
     Each record compares the gamma-path value at order r against the exact
@@ -389,15 +377,13 @@ def sweep_r(
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0 or np.min(grid) <= 0.0 or np.max(grid) >= 1.0:
         raise ValueError("r grid must be nonempty and lie strictly inside (0, 1)")
-    data = equivalence_data(nu, mu, tol)
+    data = equivalence_data(nu, mu)
     if data.singular and gamma == 0.0:
         raise SingularPair("measures are mutually singular; exact sweep is undefined")
     records = []
     for r in grid:
-        exact = (
-            math.inf if data.singular else exact_renyi(nu, mu, float(r), data=data, tol=tol)
-        )
-        value = exact if gamma == 0.0 else regularized_renyi(nu, mu, float(r), gamma, tol)
+        exact = math.inf if data.singular else exact_renyi(nu, mu, float(r), data=data)
+        value = exact if gamma == 0.0 else regularized_renyi(nu, mu, float(r), gamma)
         records.append(_record(r, value, exact))
     return records
 
@@ -422,11 +408,7 @@ def default_rn_pair(seed: int) -> tuple[GaussianMeasure, GaussianMeasure]:
     """
     mu = gen_measure(SpectrumFamily.power_law(5, 2.0), split_seed(seed, 11), mean_scale=0.3)
     root = psd_sqrt(mu.cov).entries
-    frame = standard_normal(split_seed(seed, 12), STREAM_ORTHO, (5, 5))
-    q, r = np.linalg.qr(frame)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
+    q = _haar_frame(split_seed(seed, 12), 5)
     s_mat = (q * np.linspace(-0.5, 0.5, 5)) @ q.T
     cov = root @ (np.eye(5) - s_mat) @ root
     shift = root @ (0.4 * standard_normal(split_seed(seed, 13), STREAM_MEAN, 5))

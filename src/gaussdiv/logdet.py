@@ -31,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotPositive
-from .operators import (
-    DEFAULT_TOL,
-    ShiftedOperator,
-    ToleranceConfig,
-    ext_fredholm_logdet,
-    shifted_combine,
-)
+from .operators import ShiftedOperator, ext_fredholm_logdet, shifted_combine
 
 # Inside this margin of +-1 the general formula is numerically meaningless;
 # route to the closed-form limits instead.
@@ -68,13 +62,13 @@ def _check_pair(x: ShiftedOperator, y: ShiftedOperator) -> None:
         raise NotPositive("alpha_logdet requires strictly positive shifts")
 
 
-def _limit_pos1(x: ShiftedOperator, y: ShiftedOperator, tol: ToleranceConfig) -> float:
+def _limit_pos1(x: ShiftedOperator, y: ShiftedOperator) -> float:
     """KL-direction limit: (g/m-1)log(g/m) + tr_X[y^{-1}x - I] - (g/m) logdet_X[y^{-1}x]."""
     ratio = x.shift / y.shift
     # logdet_X of the product equals the difference of logdets (product
     # property); this avoids eigendecomposing the nonsymmetric product.  The
     # logdets also validate positivity of both operators before the solve.
-    logdet_term = ext_fredholm_logdet(x, tol) - ext_fredholm_logdet(y, tol)
+    logdet_term = ext_fredholm_logdet(x) - ext_fredholm_logdet(y)
     # Extended trace of y^{-1}x: dense trace on the carrier, then count the
     # identity tail (ratio per carrier dimension) once instead of n times.
     n = x.dim
@@ -84,12 +78,7 @@ def _limit_pos1(x: ShiftedOperator, y: ShiftedOperator, tol: ToleranceConfig) ->
     return (ratio - 1.0) * math.log(ratio) + trace_term - ratio * logdet_term
 
 
-def alpha_logdet(
-    alpha: float,
-    x: ShiftedOperator,
-    y: ShiftedOperator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> LogDetResult:
+def alpha_logdet(alpha: float, x: ShiftedOperator, y: ShiftedOperator) -> LogDetResult:
     """Alpha log-determinant divergence ``d^alpha(x, y)`` for ``alpha`` in [-1, 1].
 
     ``|alpha| >= 1 - 1e-12`` dispatches to the endpoint limit formulas; equal
@@ -111,18 +100,18 @@ def alpha_logdet(
     _check_pair(x, y)
 
     if alpha >= 1.0 - ENDPOINT_MARGIN:
-        return LogDetResult(_limit_pos1(x, y, tol), alpha, None, LogDetPath.LIMIT_POS1)
+        return LogDetResult(_limit_pos1(x, y), alpha, None, LogDetPath.LIMIT_POS1)
     if alpha <= -1.0 + ENDPOINT_MARGIN:
         # The alpha = -1 limit is the mirror image of alpha = +1 with the
         # roles of the operators (and their shifts) exchanged.
-        return LogDetResult(_limit_pos1(y, x, tol), alpha, None, LogDetPath.LIMIT_NEG1)
+        return LogDetResult(_limit_pos1(y, x), alpha, None, LogDetPath.LIMIT_NEG1)
 
     w_x = 0.5 * (1.0 - alpha)
     w_y = 0.5 * (1.0 + alpha)
     combo = shifted_combine([(w_x, x), (w_y, y)])
-    ld_combo = ext_fredholm_logdet(combo, tol)
-    ld_x = ext_fredholm_logdet(x, tol)
-    ld_y = ext_fredholm_logdet(y, tol)
+    ld_combo = ext_fredholm_logdet(combo)
+    ld_x = ext_fredholm_logdet(x)
+    ld_y = ext_fredholm_logdet(y)
     scale = 4.0 / (1.0 - alpha * alpha)
 
     if x.shift == y.shift:
@@ -136,12 +125,9 @@ def alpha_logdet(
 
 
 def alpha_logdet_dual_check(
-    alpha: float,
-    x: ShiftedOperator,
-    y: ShiftedOperator,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    alpha: float, x: ShiftedOperator, y: ShiftedOperator
 ) -> tuple[float, float]:
     """Return ``(d^alpha(x, y), d^{-alpha}(y, x))``; the pair agrees to rounding."""
-    forward = alpha_logdet(alpha, x, y, tol).value
-    mirrored = alpha_logdet(-float(alpha), y, x, tol).value
+    forward = alpha_logdet(alpha, x, y).value
+    mirrored = alpha_logdet(-float(alpha), y, x).value
     return forward, mirrored

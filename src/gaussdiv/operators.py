@@ -17,12 +17,22 @@ determinant product property.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import Degenerate, DimMismatch, EigFailure, NonFinite, NotPositive, NotPSD, NotShifted
+from .errors import (
+    Degenerate,
+    DimMismatch,
+    EigFailure,
+    IllConditioned,
+    NonFinite,
+    NotPositive,
+    NotPSD,
+    NotShifted,
+)
 
 
 @dataclass(frozen=True)
@@ -47,7 +57,12 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be strictly positive")
 
 
+# The thresholds every function in the package applies; there is no per-call override.
 DEFAULT_TOL = ToleranceConfig()
+
+# An inverse square root of a matrix with condition number beyond this is
+# numerically suspect; results still return, with a warning attached.
+CONDITION_WARN = 1e12
 
 
 def _as_square_matrix(entries, *, what: str) -> np.ndarray:
@@ -59,23 +74,26 @@ def _as_square_matrix(entries, *, what: str) -> np.ndarray:
     return m
 
 
-def _max_asymmetry(m: np.ndarray) -> float:
-    return 0.0 if m.size == 0 else float(np.max(np.abs(m - m.T)))
+def _is_symmetric(m: np.ndarray) -> bool:
+    """Asymmetry within ``sym_tol * (1 + max|entries|)``."""
+    if m.size == 0:
+        return True
+    scale = 1.0 + float(np.max(np.abs(m)))
+    return float(np.max(np.abs(m - m.T))) <= DEFAULT_TOL.sym_tol * scale
 
 
 class TraceClassBlock:
     """Symmetric dim x dim matrix standing for a finite-rank trace-class operator.
 
     Entries are symmetrized exactly on construction; input asymmetric beyond
-    ``tol.sym_tol * (1 + max|entries|)`` is rejected.
+    ``sym_tol * (1 + max|entries|)`` is rejected.
     """
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, entries):
         m = _as_square_matrix(entries, what="TraceClassBlock entries")
-        scale = 1.0 + (float(np.max(np.abs(m))) if m.size else 0.0)
-        if _max_asymmetry(m) > tol.sym_tol * scale:
+        if not _is_symmetric(m):
             raise ValueError("TraceClassBlock entries are not symmetric within tolerance")
         m = 0.5 * (m + m.T)
         m.flags.writeable = False
@@ -167,14 +185,13 @@ def sym_eigen(T: TraceClassBlock) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def _general_eigvals(block: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+def _general_eigvals(block: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a square block; symmetric fast path, else general eig.
 
     Nonsymmetric blocks arise as products of symmetric positive operators and
     have real spectra; a genuinely complex spectrum is an input error.
     """
-    scale = 1.0 + (float(np.max(np.abs(block))) if block.size else 0.0)
-    if _max_asymmetry(block) <= tol.sym_tol * scale:
+    if _is_symmetric(block):
         try:
             return np.linalg.eigvalsh(0.5 * (block + block.T))
         except np.linalg.LinAlgError as exc:
@@ -183,7 +200,7 @@ def _general_eigvals(block: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
         w = scipy.linalg.eigvals(block)
     except Exception as exc:
         raise EigFailure(str(exc)) from exc
-    if np.max(np.abs(w.imag)) > tol.eig_tol * (1.0 + np.max(np.abs(w.real))):
+    if np.max(np.abs(w.imag)) > DEFAULT_TOL.eig_tol * (1.0 + np.max(np.abs(w.real))):
         raise EigFailure("block has a genuinely complex spectrum")
     return np.sort(w.real)
 
@@ -193,7 +210,7 @@ def ext_trace(op: ShiftedOperator) -> float:
     return float(np.trace(op.block)) + op.shift
 
 
-def ext_fredholm_logdet(op: ShiftedOperator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def ext_fredholm_logdet(op: ShiftedOperator) -> float:
     """Log of the extended Fredholm determinant of a positive shifted operator.
 
     For ``block + c*I`` with eigenvalues ``tau_k`` of the block this is
@@ -206,19 +223,19 @@ def ext_fredholm_logdet(op: ShiftedOperator, tol: ToleranceConfig = DEFAULT_TOL)
     NotShifted
         if ``shift <= 0``.
     NotPositive
-        if any ``1 + tau_k / c`` falls at or below ``tol.singular_margin``.
+        if any ``1 + tau_k / c`` falls at or below ``singular_margin``.
     """
     c = op.shift
     if c <= 0:
         raise NotShifted("extended determinant requires a strictly positive shift")
-    tau = _general_eigvals(op.block, tol)
+    tau = _general_eigvals(op.block)
     ratios = tau / c
-    if ratios.size and np.min(1.0 + ratios) <= tol.singular_margin:
+    if ratios.size and np.min(1.0 + ratios) <= DEFAULT_TOL.singular_margin:
         raise NotPositive("shifted operator is not positive definite")
     return float(np.log(c) + np.sum(np.log1p(ratios)))
 
 
-def carleman_logdet2(T: TraceClassBlock, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def carleman_logdet2(T: TraceClassBlock) -> float:
     """Log Hilbert-Carleman determinant ``log det2(I + T) = sum_k [log(1+tau_k) - tau_k]``.
 
     The trace subtraction makes this continuous in the Hilbert-Schmidt norm;
@@ -226,7 +243,7 @@ def carleman_logdet2(T: TraceClassBlock, tol: ToleranceConfig = DEFAULT_TOL) -> 
     covariance part of the exact KL divergence.
     """
     tau = sym_eigen(T).eigenvalues
-    if tau.size and np.min(1.0 + tau) <= tol.singular_margin:
+    if tau.size and np.min(1.0 + tau) <= DEFAULT_TOL.singular_margin:
         raise NotPositive("I + T is not positive definite")
     return float(np.sum(np.log1p(tau) - tau))
 
@@ -254,7 +271,7 @@ def shifted_mul(x: ShiftedOperator, y: ShiftedOperator) -> ShiftedOperator:
     return ShiftedOperator(block, x.shift * y.shift)
 
 
-def shifted_inv(op: ShiftedOperator, tol: ToleranceConfig = DEFAULT_TOL) -> ShiftedOperator:
+def shifted_inv(op: ShiftedOperator) -> ShiftedOperator:
     """Inverse of a positive shifted operator: shift ``1/c``, block ``(B+cI)^{-1} - I/c``.
 
     The tail of the inverse is exactly ``(1/c) I``; the finite block is the
@@ -263,11 +280,10 @@ def shifted_inv(op: ShiftedOperator, tol: ToleranceConfig = DEFAULT_TOL) -> Shif
     c = op.shift
     if c <= 0:
         raise NotPositive("inverse requires a strictly positive shift")
-    tau = _general_eigvals(op.block, tol)
-    if tau.size and np.min(1.0 + tau / c) <= tol.singular_margin:
+    tau = _general_eigvals(op.block)
+    if tau.size and np.min(1.0 + tau / c) <= DEFAULT_TOL.singular_margin:
         raise NotPositive("shifted operator is not positive definite")
-    scale = 1.0 + (float(np.max(np.abs(op.block))) if op.block.size else 0.0)
-    if _max_asymmetry(op.block) <= tol.sym_tol * scale:
+    if _is_symmetric(op.block):
         w, v = np.linalg.eigh(0.5 * (op.block + op.block.T))
         inv_block = (v * (1.0 / (w + c) - 1.0 / c)) @ v.T
         inv_block = 0.5 * (inv_block + inv_block.T)
@@ -281,7 +297,7 @@ def shifted_identity(dim: int) -> ShiftedOperator:
     return ShiftedOperator(np.zeros((dim, dim)), 1.0)
 
 
-def psd_sqrt(T: TraceClassBlock, tol: ToleranceConfig = DEFAULT_TOL) -> TraceClassBlock:
+def psd_sqrt(T: TraceClassBlock) -> TraceClassBlock:
     """Symmetric PSD square root via eigendecomposition.
 
     Eigenvalues in ``(-psd_clip, 0)`` are rounding noise and clip to zero;
@@ -289,21 +305,29 @@ def psd_sqrt(T: TraceClassBlock, tol: ToleranceConfig = DEFAULT_TOL) -> TraceCla
     """
     spec = sym_eigen(T)
     lam = spec.eigenvalues
-    if lam.size and float(np.min(lam)) < -tol.psd_clip:
+    if lam.size and float(np.min(lam)) < -DEFAULT_TOL.psd_clip:
         raise NotPSD("matrix has a genuinely negative eigenvalue")
     root = (spec.eigenvectors * np.sqrt(np.clip(lam, 0.0, None))) @ spec.eigenvectors.T
-    return TraceClassBlock(0.5 * (root + root.T), tol)
+    return TraceClassBlock(0.5 * (root + root.T))
 
 
-def psd_inv_sqrt(
-    T: TraceClassBlock, clip: float = DEFAULT_TOL.psd_clip, tol: ToleranceConfig = DEFAULT_TOL
-) -> TraceClassBlock:
-    """Symmetric inverse square root; eigenvalues at or below ``clip`` are degenerate."""
+def psd_inv_sqrt(T: TraceClassBlock) -> TraceClassBlock:
+    """Symmetric inverse square root; eigenvalues at or below ``psd_clip`` are degenerate.
+
+    Warns :class:`IllConditioned` when the condition number exceeds
+    ``CONDITION_WARN``: the root still returns, but whitening by it is unreliable.
+    """
     spec = sym_eigen(T)
     lam = spec.eigenvalues
-    if lam.size and float(np.min(lam)) < -tol.psd_clip:
+    if lam.size and float(np.min(lam)) < -DEFAULT_TOL.psd_clip:
         raise NotPSD("matrix has a genuinely negative eigenvalue")
-    if lam.size == 0 or float(np.min(lam)) <= clip:
+    if lam.size == 0 or float(np.min(lam)) <= DEFAULT_TOL.psd_clip:
         raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
+    if float(np.max(lam)) / float(np.min(lam)) > CONDITION_WARN:
+        warnings.warn(
+            "condition number exceeds 1e12; whitening is unreliable",
+            IllConditioned,
+            stacklevel=2,
+        )
     root = (spec.eigenvectors * (1.0 / np.sqrt(lam))) @ spec.eigenvectors.T
-    return TraceClassBlock(0.5 * (root + root.T), tol)
+    return TraceClassBlock(0.5 * (root + root.T))

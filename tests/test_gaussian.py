@@ -106,6 +106,21 @@ class TestExactKL:
         data = gd.equivalence_data(nu, mu)
         assert gd.exact_kl(nu, mu, data=data) == gd.exact_kl(nu, mu)
 
+    def test_data_from_another_pair_is_rejected(self):
+        # Data whitened for (mu, mu) describes S = 0, delta = 0: reusing it for
+        # (nu, mu) would report KL ~ 1e-29 where the true value is about 13.6.
+        family = gd.SpectrumFamily.power_law(6, 2.0)
+        nu = gd.gen_measure(family, 4, mean_scale=0.3)
+        mu = gd.gen_measure(family, 3, mean_scale=0.3)
+        assert gd.exact_kl(nu, mu) == pytest.approx(13.57, abs=0.01)
+        foreign = gd.equivalence_data(mu, mu)
+        with pytest.raises(ValueError):
+            gd.exact_kl(nu, mu, data=foreign)
+        with pytest.raises(ValueError):
+            gd.exact_renyi(nu, mu, 0.5, data=foreign)
+        with pytest.raises(ValueError):
+            gd.log_radon_nikodym_batch(np.zeros((3, 6)), nu, mu, data=foreign)
+
 
 class TestExactRenyi:
     def test_scalar_frozen(self):

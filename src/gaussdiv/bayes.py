@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import DimMismatch, NotPositive
+from .errors import DimMismatch, NonFinite, NotPositive
 from .gaussian import GaussianMeasure
 from .operators import DEFAULT_TOL, TraceClassBlock
 
@@ -26,11 +26,13 @@ class LinearGaussianModel:
         if a.ndim != 2:
             raise ValueError(f"forward map must be a matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
-            raise ValueError("forward map contains NaN or Inf")
+            raise NonFinite("forward map contains NaN or Inf")
         gamma = noise_cov if isinstance(noise_cov, TraceClassBlock) else TraceClassBlock(noise_cov)
         y = np.array(observation, dtype=float)
-        if y.ndim != 1 or not np.all(np.isfinite(y)):
-            raise ValueError("observation must be a finite vector")
+        if y.ndim != 1:
+            raise ValueError(f"observation must be a vector, got shape {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise NonFinite("observation contains NaN or Inf")
         obs_dim, dim = a.shape
         if gamma.dim != obs_dim:
             raise DimMismatch(f"noise cov dim {gamma.dim} does not match forward rows {obs_dim}")

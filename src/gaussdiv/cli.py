@@ -23,16 +23,13 @@ import numpy as np
 
 from .bayes import LinearGaussianModel, kl_posterior_prior, posterior
 from .errors import GaussDivError, SingularPair
-from .gaussian import GaussianMeasure, exact_kl
+from .gaussian import DIVERGENCE_KINDS, GaussianMeasure, exact_divergence, regularized_divergence
 from .lab import (
-    DIVERGENCE_KINDS,
     SpectrumFamily,
     default_rn_pair,
-    exact_divergence,
     gen_measure,
     mc_kl_check,
     mc_rn_normalization,
-    regularized_divergence,
     sampler_gate,
     split_seed,
     sweep_gamma,
@@ -87,7 +84,7 @@ def _cmd_sweep_r(args) -> int:
 def _cmd_bayes(args) -> int:
     model = LinearGaussianModel.from_dict(_load_json(args.model))
     closed = kl_posterior_prior(model)
-    whitened = exact_kl(posterior(model), model.prior)
+    whitened = exact_divergence(posterior(model), model.prior, "kl")
     print(f"kl_closed_form={_fmt(closed)}")
     print(f"kl_whitened={_fmt(whitened)}")
     return 0
@@ -102,7 +99,7 @@ def _cmd_rn_check(args) -> int:
         nu, mu = default_rn_pair(args.seed)
     gate_ok = sampler_gate(args.n, split_seed(args.seed, 1))
     print(f"moment_gate={'pass' if gate_ok else 'fail'}")
-    exact = exact_kl(nu, mu)
+    exact = exact_divergence(nu, mu, "kl")
     estimate, stderr = mc_kl_check(nu, mu, args.n, args.seed)
     kl_ok = abs(estimate - exact) <= 4.0 * stderr
     norm, norm_stderr = mc_rn_normalization(nu, mu, args.n, split_seed(args.seed, 2))

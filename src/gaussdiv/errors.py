@@ -5,7 +5,7 @@ class GaussDivError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NonFinite(GaussDivError):
+class NonFinite(GaussDivError, ValueError):
     """Input contains NaN or infinite entries."""
 
 

@@ -10,7 +10,8 @@ Everything exact runs through :func:`equivalence_data`: whitening by the base
 covariance produces the perturbation ``S = I - C0^{-1/2} C C0^{-1/2}`` and the
 whitened mean shift ``delta = C0^{-1/2}(m - m0)``, and each divergence is a
 closed-form function of the spectrum of ``S`` and of ``delta``.  One
-eigendecomposition per pair serves every divergence.
+eigendecomposition per pair serves every divergence.  Every divergence kind is
+a Renyi value passed through a transform, dispatched by :func:`exact_divergence`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotPositive, NotPSD, SingularPair
+from .errors import DimMismatch, NonFinite, NotPositive, NotPSD, SingularPair
 from .logdet import alpha_logdet
 from .operators import (
     DEFAULT_TOL,
@@ -43,7 +44,7 @@ class GaussianMeasure:
         if m.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
-            raise ValueError("mean contains NaN or Inf")
+            raise NonFinite("mean contains NaN or Inf")
         if not isinstance(cov, TraceClassBlock):
             cov = TraceClassBlock(cov)
         if m.shape[0] != cov.dim:
@@ -135,13 +136,15 @@ def _equivalent_data(
     elif data.pair[0] is not nu or data.pair[1] is not mu:
         raise ValueError("data was built for a different pair of measures")
     if data.singular:
-        raise SingularPair("measures are mutually singular; exact divergence is +inf")
+        raise SingularPair("measures are mutually singular")
     return data
 
 
-def _hellinger(d_b: float) -> float:
-    """Hellinger distance ``sqrt(2 (1 - exp(-D_B)))`` from a Bhattacharyya distance."""
-    return math.sqrt(max(0.0, 2.0 * (1.0 - math.exp(-d_b))))
+def _check_order(r: float) -> float:
+    r = float(r)
+    if not math.isfinite(r) or not 0.0 <= r <= 1.0:
+        raise ValueError(f"r must lie in [0, 1], got {r}")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +182,7 @@ def exact_renyi(
     ``r = 1`` and ``r = 0`` redirect to ``exact_kl(nu, mu)`` and
     ``exact_kl(mu, nu)``, the two limits of the family.
     """
-    r = float(r)
-    if not math.isfinite(r) or not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
+    r = _check_order(r)
     if r == 1.0:
         return exact_kl(nu, mu, data=data)
     if r == 0.0:
@@ -204,7 +205,7 @@ def exact_bhattacharyya(
     data: EquivalenceData | None = None,
 ) -> float:
     """Exact Bhattacharyya distance; identically one quarter of the order-1/2 Renyi."""
-    return 0.25 * exact_renyi(nu, mu, 0.5, data=data)
+    return exact_divergence(nu, mu, "bhatt", data=data)
 
 
 def exact_hellinger(
@@ -214,7 +215,7 @@ def exact_hellinger(
     data: EquivalenceData | None = None,
 ) -> float:
     """Exact Hellinger distance ``sqrt(2 (1 - exp(-D_B)))``, in [0, sqrt(2))."""
-    return _hellinger(exact_bhattacharyya(nu, mu, data=data))
+    return exact_divergence(nu, mu, "hellinger", data=data)
 
 
 def log_radon_nikodym_batch(
@@ -236,7 +237,7 @@ def log_radon_nikodym_batch(
     if points.shape[1] != mu.dim:
         raise DimMismatch(f"points have dim {points.shape[1]}, measures have dim {mu.dim}")
     if not np.all(np.isfinite(points)):
-        raise ValueError("points contain NaN or Inf")
+        raise NonFinite("points contain NaN or Inf")
     w = data.base_inv_sqrt
     a = data.s_spectrum.eigenvalues
     v = data.s_spectrum.eigenvectors
@@ -313,9 +314,7 @@ def regularized_renyi(nu: GaussianMeasure, mu: GaussianMeasure, r: float, gamma:
     ``(1-r)(C_nu + gamma I) + r(C_mu + gamma I)`` and the log-det part is
     ``d^{2r-1}/2``.  ``r = 1`` and ``r = 0`` redirect to the two KL directions.
     """
-    r = float(r)
-    if not math.isfinite(r) or not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
+    r = _check_order(r)
     if r == 1.0:
         return regularized_kl(nu, mu, gamma)
     if r == 0.0:
@@ -328,9 +327,65 @@ def regularized_renyi(nu: GaussianMeasure, mu: GaussianMeasure, r: float, gamma:
 
 def regularized_bhattacharyya(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float) -> float:
     """Regularized Bhattacharyya distance, one quarter of the order-1/2 Renyi."""
-    return 0.25 * regularized_renyi(nu, mu, 0.5, gamma)
+    return regularized_divergence(nu, mu, "bhatt", gamma)
 
 
 def regularized_hellinger(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float) -> float:
     """Regularized Hellinger distance ``sqrt(2 (1 - exp(-D_B^gamma)))``, in [0, sqrt(2))."""
-    return _hellinger(regularized_bhattacharyya(nu, mu, gamma))
+    return regularized_divergence(nu, mu, "hellinger", gamma)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch by divergence kind
+# ---------------------------------------------------------------------------
+
+# Every kind is a Renyi value at a fixed order (None: the caller's ``r``)
+# passed through a transform.  The table holds no function of this module, so
+# a caller that rebinds ``exact_renyi`` or ``regularized_renyi`` here sees
+# every dispatched call.
+_KIND_TABLE = {
+    "kl": (1.0, float),
+    "renyi": (None, float),
+    "bhatt": (0.5, lambda d: 0.25 * d),
+    "hellinger": (0.5, lambda d: math.sqrt(max(0.0, 2.0 * (1.0 - math.exp(-(0.25 * d)))))),
+}
+DIVERGENCE_KINDS = tuple(_KIND_TABLE)
+
+
+def _kind_order(kind: str, r: float | None):
+    """Validate ``(kind, r)``; return the Renyi order and the transform of its value."""
+    if kind not in _KIND_TABLE:
+        raise ValueError(f"unknown divergence kind {kind!r}; expected one of {DIVERGENCE_KINDS}")
+    order, transform = _KIND_TABLE[kind]
+    if order is None:
+        if r is None or not 0.0 < float(r) < 1.0:
+            raise ValueError("the renyi kind needs an order r strictly inside (0, 1)")
+        order = float(r)
+    elif r is not None:
+        raise ValueError(f"order r only applies to renyi, not {kind!r}")
+    return order, transform
+
+
+def exact_divergence(
+    nu: GaussianMeasure,
+    mu: GaussianMeasure,
+    kind: str,
+    r: float | None = None,
+    *,
+    data: EquivalenceData | None = None,
+) -> float:
+    """Exact divergence dispatch by kind (``kl``, ``renyi``, ``bhatt``, ``hellinger``)."""
+    order, transform = _kind_order(kind, r)
+    return transform(exact_renyi(nu, mu, order, data=data))
+
+
+def regularized_divergence(
+    nu: GaussianMeasure,
+    mu: GaussianMeasure,
+    kind: str,
+    gamma: float,
+    r: float | None = None,
+) -> float:
+    """Regularized divergence dispatch by kind, at shift ``gamma > 0``."""
+    order, transform = _kind_order(kind, r)
+    return transform(regularized_renyi(nu, mu, order, gamma))

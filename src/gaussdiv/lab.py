@@ -21,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import NotPositive, SingularPair
+from .errors import NotPositive
 from .gaussian import (
-    EquivalenceData,
     GaussianMeasure,
-    _hellinger,
     equivalence_data,
+    exact_divergence,
     exact_renyi,
     log_radon_nikodym_batch,
+    regularized_divergence,
     regularized_renyi,
 )
 from .operators import DEFAULT_TOL, TraceClassBlock, psd_sqrt, sym_eigen
@@ -40,18 +40,6 @@ _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
 STREAM_ORTHO = 1  # random orthogonal frame in gen_measure
 STREAM_MEAN = 2  # mean vector in gen_measure
 STREAM_SAMPLE = 3  # Gaussian sample matrices
-
-# Every kind is a Renyi value at a fixed order (None: the caller's ``r``)
-# passed through a transform.  The table holds no ``gaussian`` functions, so
-# a caller that rebinds this module's ``exact_renyi`` or ``regularized_renyi``
-# sees every dispatched call.
-_KIND_TABLE = {
-    "kl": (1.0, float),
-    "renyi": (None, float),
-    "bhatt": (0.5, lambda d: 0.25 * d),
-    "hellinger": (0.5, lambda d: _hellinger(0.25 * d)),
-}
-DIVERGENCE_KINDS = tuple(_KIND_TABLE)
 
 
 def split_seed(seed: int, index: int) -> int:
@@ -168,6 +156,11 @@ def sample_gaussian(measure: GaussianMeasure, n: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean of ``vals`` and its standard error."""
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+
+
 def mc_kl_check(
     nu: GaussianMeasure, mu: GaussianMeasure, n: int, seed: int
 ) -> tuple[float, float]:
@@ -176,24 +169,16 @@ def mc_kl_check(
     Returns ``(estimate, stderr)``; the estimate is expected within 4 standard
     errors of :func:`~gaussdiv.gaussian.exact_kl`.
     """
-    data = equivalence_data(nu, mu)
-    if data.singular:
-        raise SingularPair("measures are mutually singular; log density ratio undefined")
     samples = sample_gaussian(nu, n, seed)
-    vals = log_radon_nikodym_batch(samples, nu, mu, data=data)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
+    return _mean_stderr(log_radon_nikodym_batch(samples, nu, mu))
 
 
 def mc_rn_normalization(
     nu: GaussianMeasure, mu: GaussianMeasure, n: int, seed: int
 ) -> tuple[float, float]:
     """mu-mean of exp(log density ratio); the exact value is 1 (total mass of nu)."""
-    data = equivalence_data(nu, mu)
-    if data.singular:
-        raise SingularPair("measures are mutually singular; log density ratio undefined")
     samples = sample_gaussian(mu, n, seed)
-    vals = np.exp(log_radon_nikodym_batch(samples, nu, mu, data=data))
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
+    return _mean_stderr(np.exp(log_radon_nikodym_batch(samples, nu, mu)))
 
 
 def gauss_exp_quadratic(
@@ -238,7 +223,8 @@ def _moment4(
     vals = (centered @ a) ** 2 * (centered @ b) ** 2
     q = measure.cov.entries
     closed = float((a @ q @ a) * (b @ q @ b) + 2.0 * (a @ q @ b) ** 2)
-    return float(np.mean(vals)), closed, float(np.std(vals, ddof=1) / math.sqrt(n))
+    mc, stderr = _mean_stderr(vals)
+    return mc, closed, stderr
 
 
 def moment4_check(
@@ -300,45 +286,6 @@ def _record(param: float, regularized: float, exact: float) -> SweepRecord:
     return SweepRecord(float(param), float(regularized), float(exact), abs_err, rel_err)
 
 
-def _kind_order(kind: str, r: float | None):
-    """Validate ``(kind, r)``; return the Renyi order and the transform of its value."""
-    if kind not in _KIND_TABLE:
-        raise ValueError(f"unknown divergence kind {kind!r}; expected one of {DIVERGENCE_KINDS}")
-    order, transform = _KIND_TABLE[kind]
-    if order is None:
-        if r is None or not 0.0 < float(r) < 1.0:
-            raise ValueError("the renyi kind needs an order r strictly inside (0, 1)")
-        order = float(r)
-    elif r is not None:
-        raise ValueError(f"order r only applies to renyi, not {kind!r}")
-    return order, transform
-
-
-def exact_divergence(
-    nu: GaussianMeasure,
-    mu: GaussianMeasure,
-    kind: str,
-    r: float | None = None,
-    *,
-    data: EquivalenceData | None = None,
-) -> float:
-    """Exact divergence dispatch by kind (``kl``, ``renyi``, ``bhatt``, ``hellinger``)."""
-    order, transform = _kind_order(kind, r)
-    return transform(exact_renyi(nu, mu, order, data=data))
-
-
-def regularized_divergence(
-    nu: GaussianMeasure,
-    mu: GaussianMeasure,
-    kind: str,
-    gamma: float,
-    r: float | None = None,
-) -> float:
-    """Regularized divergence dispatch by kind, at shift ``gamma > 0``."""
-    order, transform = _kind_order(kind, r)
-    return transform(regularized_renyi(nu, mu, order, gamma))
-
-
 def sweep_gamma(
     nu: GaussianMeasure,
     mu: GaussianMeasure,
@@ -351,16 +298,12 @@ def sweep_gamma(
     The exact column is constant; for equivalent pairs the abs_err column
     shrinks toward zero as gamma does.
     """
-    _kind_order(kind, r)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.min(grid) <= 0.0:
         raise ValueError("gamma grid must be nonempty and strictly positive")
     if grid.size > 1 and np.any(np.diff(grid) >= 0.0):
         raise ValueError("gamma grid must be strictly decreasing")
-    data = equivalence_data(nu, mu)
-    if data.singular:
-        raise SingularPair("measures are mutually singular; exact column is undefined")
-    exact = exact_divergence(nu, mu, kind, r, data=data)
+    exact = exact_divergence(nu, mu, kind, r)
     return [_record(g, regularized_divergence(nu, mu, kind, float(g), r), exact) for g in grid]
 
 
@@ -378,11 +321,9 @@ def sweep_r(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float, grid) -> lis
     if grid.size == 0 or np.min(grid) <= 0.0 or np.max(grid) >= 1.0:
         raise ValueError("r grid must be nonempty and lie strictly inside (0, 1)")
     data = equivalence_data(nu, mu)
-    if data.singular and gamma == 0.0:
-        raise SingularPair("measures are mutually singular; exact sweep is undefined")
     records = []
     for r in grid:
-        exact = math.inf if data.singular else exact_renyi(nu, mu, float(r), data=data)
+        exact = exact_renyi(nu, mu, float(r), data=data)
         value = exact if gamma == 0.0 else regularized_renyi(nu, mu, float(r), gamma)
         records.append(_record(r, value, exact))
     return records

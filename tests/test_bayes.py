@@ -170,3 +170,7 @@ class TestModelValidation:
             gd.LinearGaussianModel([[np.nan]], [[1.0]], prior, [0.0])
         with pytest.raises(ValueError):
             gd.LinearGaussianModel([[1.0]], [[1.0]], prior, [np.inf])
+        with pytest.raises(gd.NonFinite):
+            gd.LinearGaussianModel([[np.nan]], [[1.0]], prior, [0.0])
+        with pytest.raises(gd.NonFinite):
+            gd.LinearGaussianModel([[1.0]], [[1.0]], prior, [np.inf])

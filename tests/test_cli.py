@@ -108,6 +108,14 @@ class TestDiv:
         assert main(["div", "--kind", "kl", "--nu", nu_path, "--mu", mu_path]) == 3
         assert capsys.readouterr().out.strip() == "inf"
 
+    def test_singular_pair_regularized_r_sweep_prints_inf(self, singular_files, tmp_path, capsys):
+        nu_path, mu_path = singular_files
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-r", "--gamma", "1e-3", "--nu", nu_path, "--mu", mu_path,
+                     "--from", "0.1", "--to", "0.9", "--points", "3", "--out", str(out)]) == 3
+        assert capsys.readouterr().out.strip() == "inf"
+        assert not out.exists()
+
     def test_singular_pair_regularized_is_finite(self, singular_files, capsys):
         nu_path, mu_path = singular_files
         assert main(["div", "--kind", "kl", "--gamma", "1e-3",

@@ -248,6 +248,8 @@ class TestLogRadonNikodym:
             gd.log_radon_nikodym_batch(np.zeros((1, 2)), HALF, UNIT)
         with pytest.raises(ValueError):
             gd.log_radon_nikodym_batch(np.array([[math.nan]]), HALF, UNIT)
+        with pytest.raises(gd.NonFinite):
+            gd.log_radon_nikodym_batch(np.array([[math.inf]]), HALF, UNIT)
 
 
 class TestRegularized:
@@ -352,6 +354,8 @@ class TestGaussianMeasure:
             gd.GaussianMeasure(np.zeros((2, 2)), np.eye(2))
         with pytest.raises(ValueError):
             gd.GaussianMeasure([math.nan], [[1.0]])
+        with pytest.raises(gd.NonFinite):
+            gd.GaussianMeasure([math.inf], [[1.0]])
         with pytest.raises(gd.DimMismatch):
             gd.GaussianMeasure([0.0, 0.0], [[1.0]])
 

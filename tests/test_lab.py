@@ -259,9 +259,8 @@ class TestSweeps:
         mu = gd.GaussianMeasure([0.0, 0.0], np.eye(2))
         with pytest.raises(gd.SingularPair):
             gd.sweep_r(nu, mu, 0.0, [0.5])
-        records = gd.sweep_r(nu, mu, 1e-3, [0.5])
-        assert math.isinf(records[0].exact)
-        assert math.isfinite(records[0].regularized)
+        with pytest.raises(gd.SingularPair):
+            gd.sweep_r(nu, mu, 1e-3, [0.5])
 
     def test_r_grid_validation(self):
         with pytest.raises(ValueError):
@@ -310,6 +309,12 @@ class TestDivergenceDispatch:
         assert gd.regularized_divergence(nu, mu, "kl", g) == gd.regularized_kl(nu, mu, g)
         assert gd.regularized_divergence(nu, mu, "renyi", g, 0.3) == gd.regularized_renyi(
             nu, mu, 0.3, g
+        )
+        assert gd.regularized_divergence(nu, mu, "bhatt", g) == gd.regularized_bhattacharyya(
+            nu, mu, g
+        )
+        assert gd.regularized_divergence(nu, mu, "hellinger", g) == gd.regularized_hellinger(
+            nu, mu, g
         )
 
     def test_kind_validation(self):

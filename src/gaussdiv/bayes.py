@@ -42,7 +42,7 @@ class LinearGaussianModel:
             raise DimMismatch(f"observation length {y.shape[0]} does not match forward rows {obs_dim}")
         if float(np.min(np.linalg.eigvalsh(gamma.entries))) <= DEFAULT_TOL.psd_clip:
             raise NotPositive("noise covariance must be strictly positive definite")
-        if float(np.min(np.linalg.eigvalsh(prior.cov.entries))) <= DEFAULT_TOL.psd_clip:
+        if float(np.min(prior.eigenvalues)) <= DEFAULT_TOL.psd_clip:
             raise NotPositive("prior covariance must be strictly positive definite")
         a.flags.writeable = False
         y.flags.writeable = False

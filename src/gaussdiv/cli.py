@@ -23,7 +23,13 @@ import numpy as np
 
 from .bayes import LinearGaussianModel, kl_posterior_prior, posterior
 from .errors import GaussDivError, SingularPair
-from .gaussian import DIVERGENCE_KINDS, GaussianMeasure, exact_divergence, regularized_divergence
+from .gaussian import (
+    DIVERGENCE_KINDS,
+    GaussianMeasure,
+    equivalence_data,
+    exact_divergence,
+    regularized_divergence,
+)
 from .lab import (
     SpectrumFamily,
     default_rn_pair,
@@ -97,12 +103,15 @@ def _cmd_rn_check(args) -> int:
         nu, mu = _measure_pair(args)
     else:
         nu, mu = default_rn_pair(args.seed)
+    # The exact KL comes first: a singular pair or a degenerate base ends the
+    # command before any sampling.
+    data = equivalence_data(nu, mu)
+    exact = exact_divergence(nu, mu, "kl", data=data)
     gate_ok = sampler_gate(args.n, split_seed(args.seed, 1))
     print(f"moment_gate={'pass' if gate_ok else 'fail'}")
-    exact = exact_divergence(nu, mu, "kl")
-    estimate, stderr = mc_kl_check(nu, mu, args.n, args.seed)
+    estimate, stderr = mc_kl_check(nu, mu, args.n, args.seed, data=data)
     kl_ok = abs(estimate - exact) <= 4.0 * stderr
-    norm, norm_stderr = mc_rn_normalization(nu, mu, args.n, split_seed(args.seed, 2))
+    norm, norm_stderr = mc_rn_normalization(nu, mu, args.n, split_seed(args.seed, 2), data=data)
     norm_ok = abs(norm - 1.0) <= 4.0 * norm_stderr
     print(f"kl_exact={_fmt(exact)}")
     print(f"kl_mc={_fmt(estimate)}")

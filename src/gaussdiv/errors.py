@@ -43,4 +43,9 @@ class SingularPair(GaussDivError):
 
 
 class IllConditioned(RuntimeWarning):
-    """Base covariance condition number exceeds 1e12; whitening is unreliable."""
+    """A covariance about to be inverted has condition number beyond 1e12.
+
+    That is the base covariance of a whitening, or the shifted covariance
+    ``C + gamma I`` that a regularized divergence inverts; the result still
+    returns, but it is unreliable.
+    """

@@ -228,7 +228,11 @@ def ext_fredholm_logdet(op: ShiftedOperator) -> float:
     c = op.shift
     if c <= 0:
         raise NotShifted("extended determinant requires a strictly positive shift")
-    tau = _general_eigvals(op.block)
+    return _shifted_logdet(_general_eigvals(op.block), c)
+
+
+def _shifted_logdet(tau: np.ndarray, c: float) -> float:
+    """``log c + sum_k log(1 + tau_k / c)`` from the block eigenvalues ``tau``, for ``c > 0``."""
     ratios = tau / c
     if ratios.size and np.min(1.0 + ratios) <= DEFAULT_TOL.singular_margin:
         raise NotPositive("shifted operator is not positive definite")
@@ -317,17 +321,27 @@ def psd_inv_sqrt(T: TraceClassBlock) -> TraceClassBlock:
     Warns :class:`IllConditioned` when the condition number exceeds
     ``CONDITION_WARN``: the root still returns, but whitening by it is unreliable.
     """
-    spec = sym_eigen(T)
+    return _spectral_inv_sqrt(sym_eigen(T))
+
+
+def _spectral_inv_sqrt(spec: Spectrum) -> TraceClassBlock:
+    """:func:`psd_inv_sqrt` of the matrix whose eigendecomposition is ``spec``."""
     lam = spec.eigenvalues
     if lam.size and float(np.min(lam)) < -DEFAULT_TOL.psd_clip:
         raise NotPSD("matrix has a genuinely negative eigenvalue")
     if lam.size == 0 or float(np.min(lam)) <= DEFAULT_TOL.psd_clip:
         raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
-    if float(np.max(lam)) / float(np.min(lam)) > CONDITION_WARN:
-        warnings.warn(
-            "condition number exceeds 1e12; whitening is unreliable",
-            IllConditioned,
-            stacklevel=2,
-        )
+    _warn_ill_conditioned(lam)
     root = (spec.eigenvectors * (1.0 / np.sqrt(lam))) @ spec.eigenvectors.T
     return TraceClassBlock(0.5 * (root + root.T))
+
+
+def _warn_ill_conditioned(lam: np.ndarray) -> None:
+    """Warn :class:`IllConditioned` when the spectrum ``lam`` of a matrix about to be
+    inverted spans more than ``CONDITION_WARN``; a nonpositive minimum counts as beyond it."""
+    if float(np.max(lam)) > CONDITION_WARN * float(np.min(lam)):
+        warnings.warn(
+            "condition number exceeds 1e12; inverting the matrix is unreliable",
+            IllConditioned,
+            stacklevel=3,
+        )

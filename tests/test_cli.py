@@ -210,6 +210,20 @@ class TestRnCheck:
         assert main(["rn-check", "--n", "100", "--seed", "1", "--nu", nu_path]) == 2
 
     def test_singular_pair(self, singular_files, capsys):
+        # The exact KL comes before any sampling: no moment_gate line, only inf.
         nu_path, mu_path = singular_files
         assert main(["rn-check", "--n", "100", "--seed", "1",
                      "--nu", nu_path, "--mu", mu_path]) == 3
+        assert capsys.readouterr().out == "inf\n"
+
+    def test_degenerate_base(self, tmp_path, capsys):
+        paths = []
+        for name, cov in (("nu", np.eye(2)), ("mu", np.diag([1.0, 0.0]))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(gd.GaussianMeasure(np.zeros(2), cov).to_dict()))
+            paths.append(str(path))
+        assert main(["rn-check", "--n", "100", "--seed", "1",
+                     "--nu", paths[0], "--mu", paths[1]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err

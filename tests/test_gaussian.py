@@ -1,6 +1,7 @@
 """Gaussian divergences: whitening, exact and regularized families, log density ratio."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -312,6 +313,20 @@ class TestRegularized:
         for kind, r in (("kl", None), ("renyi", 0.5), ("bhatt", None), ("hellinger", None)):
             val = gd.regularized_divergence(nu, mu, kind, 1e-3, r)
             assert math.isfinite(val)
+
+    def test_ill_conditioned_shift_warns(self):
+        # The inverted C + gamma I has condition (1 + gamma) / gamma: beyond 1e12
+        # at gamma = 1e-14, about 1e3 at gamma = 1e-3.
+        base = gd.GaussianMeasure([0.0, 0.0], np.diag([1.0, 0.0]))
+        for nu, kind, r in (
+            (gd.GaussianMeasure([0.0, 0.0], np.eye(2)), "kl", None),
+            (gd.GaussianMeasure([0.0, 0.0], np.diag([2.0, 0.0])), "renyi", 0.5),
+        ):
+            with pytest.warns(gd.IllConditioned):
+                gd.regularized_divergence(nu, base, kind, 1e-14, r)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", gd.IllConditioned)
+                assert math.isfinite(gd.regularized_divergence(nu, base, kind, 1e-3, r))
 
     def test_gamma_validation(self):
         with pytest.raises(gd.NotPositive):

@@ -105,13 +105,13 @@ def _cmd_rn_check(args) -> int:
         nu, mu = default_rn_pair(args.seed)
     # The exact KL comes first: a singular pair or a degenerate base ends the
     # command before any sampling.
-    data = equivalence_data(nu, mu)
-    exact = exact_divergence(nu, mu, "kl", data=data)
+    pair = equivalence_data(nu, mu)
+    exact = exact_divergence(nu, mu, "kl", data=pair)
     gate_ok = sampler_gate(args.n, split_seed(args.seed, 1))
     print(f"moment_gate={'pass' if gate_ok else 'fail'}")
-    estimate, stderr = mc_kl_check(nu, mu, args.n, args.seed, data=data)
+    estimate, stderr = mc_kl_check(nu, mu, args.n, args.seed, data=pair)
     kl_ok = abs(estimate - exact) <= 4.0 * stderr
-    norm, norm_stderr = mc_rn_normalization(nu, mu, args.n, split_seed(args.seed, 2), data=data)
+    norm, norm_stderr = mc_rn_normalization(nu, mu, args.n, split_seed(args.seed, 2), data=pair)
     norm_ok = abs(norm - 1.0) <= 4.0 * norm_stderr
     print(f"kl_exact={_fmt(exact)}")
     print(f"kl_mc={_fmt(estimate)}")

@@ -8,10 +8,11 @@ measure-theoretic sense and report mutual singularity as
 
 Every divergence of a pair reads the factorizations of one
 :class:`GaussianPair`, each computed once on first use.  Everything exact runs
-through its :class:`EquivalenceData`: whitening by the base covariance
-produces the perturbation ``S = I - C0^{-1/2} C C0^{-1/2}`` and the whitened
-mean shift ``delta = C0^{-1/2}(m - m0)``, and each divergence is a closed-form
-function of the spectrum of ``S`` and of ``delta``.  The regularized forms
+through its whitening: the base covariance's eigendecomposition, which the
+base :class:`GaussianMeasure` keeps, produces the perturbation
+``S = I - C0^{-1/2} C C0^{-1/2}`` and the whitened mean shift
+``delta = C0^{-1/2}(m - m0)``, and each divergence is a closed-form function
+of the spectrum of ``S`` and of ``delta``.  The regularized forms
 depend on ``gamma`` only through eigenvalues that do not: those of each
 covariance, of the base in its eigenbasis, and of the Renyi blend of each
 order.  A gamma sweep therefore factorizes once, not once per grid point.
@@ -22,7 +23,6 @@ by :func:`exact_divergence` and :func:`regularized_divergence`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,10 +44,12 @@ class GaussianMeasure:
     """Gaussian measure ``N(mean, cov)`` with PSD covariance on the finite carrier.
 
     ``eigenvalues`` is the ascending, read-only spectrum of ``cov`` that the
-    validation computes; the regularized divergences reuse it.
+    validation computes; the regularized divergences reuse it.  ``spectrum``,
+    its eigendecomposition, is computed on first use and serves whitening
+    against this measure, sampling from it and its square root.
     """
 
-    __slots__ = ("mean", "cov", "eigenvalues")
+    __slots__ = ("mean", "cov", "eigenvalues", "_spectrum")
 
     def __init__(self, mean, cov):
         m = np.array(mean, dtype=float)
@@ -67,6 +69,14 @@ class GaussianMeasure:
         self.mean = m
         self.cov = cov
         self.eigenvalues = lam
+        self._spectrum = None
+
+    @property
+    def spectrum(self) -> Spectrum:
+        """Eigendecomposition of ``cov``, eigenvalues descending."""
+        if self._spectrum is None:
+            self._spectrum = sym_eigen(self.cov)
+        return self._spectrum
 
     @property
     def dim(self) -> int:
@@ -86,37 +96,19 @@ class GaussianMeasure:
         return f"GaussianMeasure(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class EquivalenceData:
-    """Whitened description of ``nu`` relative to ``mu``.
-
-    ``s_block`` is the symmetric perturbation with
-    ``nu.cov = mu.cov^{1/2} (I - S) mu.cov^{1/2}``, ``s_spectrum`` its
-    eigendecomposition, ``delta`` the whitened mean difference, and
-    ``singular`` flags a maximal eigenvalue of ``S`` within
-    ``singular_margin`` of 1, i.e. a mutually singular pair.
-    ``base_inv_sqrt`` is the whitening matrix ``mu.cov^{-1/2}`` and ``pair``
-    the ``(nu, mu)`` the record was built from.
-    """
-
-    s_block: TraceClassBlock
-    s_spectrum: Spectrum
-    delta: np.ndarray
-    singular: bool
-    base_inv_sqrt: np.ndarray
-    pair: tuple[GaussianMeasure, GaussianMeasure]
-
-
 class GaussianPair:
     """The ordered pair ``(nu, mu)`` with its factorizations, each computed once on first use.
 
-    ``base`` is the eigendecomposition ``mu.cov = U diag(lambda) U^T``.  It
-    whitens for :attr:`equivalence`, and with ``g = U^T (m_nu - m_mu)`` and
-    ``d = diag(U^T C_nu U)`` it turns the regularized KL at any ``gamma`` into
+    Whitening by ``base_inv_sqrt = mu.cov^{-1/2}`` gives the perturbation
+    ``s_block`` with ``nu.cov = mu.cov^{1/2} (I - S) mu.cov^{1/2}``, its
+    eigendecomposition ``s_spectrum``, the whitened mean shift ``delta``, and
+    ``singular``: the top eigenvalue of ``S`` is within ``singular_margin`` of 1.
+    With ``mu.spectrum``, ``mu.cov = U diag(lambda) U^T``, ``g = U^T (m_nu - m_mu)``
+    and ``d = diag(U^T C_nu U)`` turn the regularized KL at any ``gamma`` into
     an O(n) sum.  The regularized Renyi of order ``r`` reads the eigenvalues of
     the gamma-free blend ``(1-r) C_nu + r C_mu`` and the mean difference in its
     eigenbasis, cached per order; the blend's eigenvectors are not kept.  The
-    log-determinants of the shifted covariances come from the eigenvalues each
+    shifted log-determinants come from the eigenvalues each
     :class:`GaussianMeasure` keeps.
     """
 
@@ -128,25 +120,29 @@ class GaussianPair:
         self._blends: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
-    def base(self) -> Spectrum:
-        """Eigendecomposition of ``mu.cov``, eigenvalues descending."""
-        return sym_eigen(self.mu.cov)
+    def base_inv_sqrt(self) -> np.ndarray:
+        return _spectral_inv_sqrt(self.mu.spectrum).entries
 
     @cached_property
-    def equivalence(self) -> EquivalenceData:
-        """Whitening of ``nu`` against ``mu``; see :func:`equivalence_data`."""
-        nu, mu = self.nu, self.mu
-        w = _spectral_inv_sqrt(self.base).entries
-        s_mat = np.eye(nu.dim) - w @ nu.cov.entries @ w
-        s_block = TraceClassBlock(0.5 * (s_mat + s_mat.T))
-        s_spectrum = sym_eigen(s_block)
-        delta = w @ (nu.mean - mu.mean)
-        singular = bool(
-            s_spectrum.eigenvalues.size
-            and float(s_spectrum.eigenvalues[0]) >= 1.0 - DEFAULT_TOL.singular_margin
-        )
+    def s_block(self) -> TraceClassBlock:
+        w = self.base_inv_sqrt
+        s_mat = np.eye(self.nu.dim) - w @ self.nu.cov.entries @ w
+        return TraceClassBlock(0.5 * (s_mat + s_mat.T))
+
+    @cached_property
+    def s_spectrum(self) -> Spectrum:
+        return sym_eigen(self.s_block)
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        delta = self.base_inv_sqrt @ (self.nu.mean - self.mu.mean)
         delta.flags.writeable = False
-        return EquivalenceData(s_block, s_spectrum, delta, singular, w, (nu, mu))
+        return delta
+
+    @cached_property
+    def singular(self) -> bool:
+        a = self.s_spectrum.eigenvalues
+        return bool(a.size and float(a[0]) >= 1.0 - DEFAULT_TOL.singular_margin)
 
     @cached_property
     def _kl_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,7 +154,7 @@ class GaussianPair:
         regularized KL come out about ten times more accurate than the
         eigenvalues ``eigh`` returns, as accurate as a dense solve.
         """
-        u = self.base.eigenvectors
+        u = self.mu.spectrum.eigenvectors
         lam = np.einsum("ij,ij->j", u, self.mu.cov.entries @ u)
         d = np.einsum("ij,ij->j", u, self.nu.cov.entries @ u)
         return lam, u.T @ (self.nu.mean - self.mu.mean), d
@@ -211,8 +207,8 @@ class GaussianPair:
         return transform(self.regularized_renyi(order, gamma))
 
 
-def equivalence_data(nu: GaussianMeasure, mu: GaussianMeasure) -> EquivalenceData:
-    """Whiten ``nu`` against ``mu``: compute ``S``, ``delta``, and the singularity flag.
+def equivalence_data(nu: GaussianMeasure, mu: GaussianMeasure) -> GaussianPair:
+    """The pair ``(nu, mu)``, whitened: ``S``, ``delta`` and the singularity flag computed.
 
     Raises
     ------
@@ -224,12 +220,14 @@ def equivalence_data(nu: GaussianMeasure, mu: GaussianMeasure) -> EquivalenceDat
     Warns :class:`~gaussdiv.errors.IllConditioned` when ``mu.cov`` has a
     condition number beyond ``CONDITION_WARN``.
     """
-    return GaussianPair(nu, mu).equivalence
+    pair = GaussianPair(nu, mu)
+    pair.singular  # whitens now, so a degenerate base raises here
+    return pair
 
 
 def _equivalent_data(
-    nu: GaussianMeasure, mu: GaussianMeasure, data: EquivalenceData | None
-) -> EquivalenceData:
+    nu: GaussianMeasure, mu: GaussianMeasure, data: GaussianPair | None
+) -> GaussianPair:
     """``data`` for ``(nu, mu)``, built when absent, for an equivalent pair only.
 
     Raises ``ValueError`` when ``data`` was built from another pair and
@@ -237,7 +235,7 @@ def _equivalent_data(
     """
     if data is None:
         data = equivalence_data(nu, mu)
-    elif data.pair[0] is not nu or data.pair[1] is not mu:
+    elif data.nu is not nu or data.mu is not mu:
         raise ValueError("data was built for a different pair of measures")
     if data.singular:
         raise SingularPair("measures are mutually singular")
@@ -260,7 +258,7 @@ def exact_kl(
     nu: GaussianMeasure,
     mu: GaussianMeasure,
     *,
-    data: EquivalenceData | None = None,
+    data: GaussianPair | None = None,
 ) -> float:
     """Exact ``D_KL(nu || mu)``: ``1/2 ||delta||^2 - 1/2 sum_k [log(1-a_k) + a_k]``.
 
@@ -278,7 +276,7 @@ def exact_renyi(
     mu: GaussianMeasure,
     r: float,
     *,
-    data: EquivalenceData | None = None,
+    data: GaussianPair | None = None,
 ) -> float:
     """Exact Renyi divergence of order ``r`` in (0, 1), normalized as
     ``-1/(r(1-r)) log integral (dnu)^r (dmu)^{1-r}``.
@@ -306,7 +304,7 @@ def exact_bhattacharyya(
     nu: GaussianMeasure,
     mu: GaussianMeasure,
     *,
-    data: EquivalenceData | None = None,
+    data: GaussianPair | None = None,
 ) -> float:
     """Exact Bhattacharyya distance; identically one quarter of the order-1/2 Renyi."""
     return exact_divergence(nu, mu, "bhatt", data=data)
@@ -316,7 +314,7 @@ def exact_hellinger(
     nu: GaussianMeasure,
     mu: GaussianMeasure,
     *,
-    data: EquivalenceData | None = None,
+    data: GaussianPair | None = None,
 ) -> float:
     """Exact Hellinger distance ``sqrt(2 (1 - exp(-D_B)))``, in [0, sqrt(2))."""
     return exact_divergence(nu, mu, "hellinger", data=data)
@@ -327,7 +325,7 @@ def log_radon_nikodym_batch(
     nu: GaussianMeasure,
     mu: GaussianMeasure,
     *,
-    data: EquivalenceData | None = None,
+    data: GaussianPair | None = None,
 ) -> np.ndarray:
     """Vectorized ``log (dnu/dmu)`` over the rows of ``points`` (n x dim).
 
@@ -359,7 +357,7 @@ def log_radon_nikodym(
     nu: GaussianMeasure,
     mu: GaussianMeasure,
     *,
-    data: EquivalenceData | None = None,
+    data: GaussianPair | None = None,
 ) -> float:
     """Log Radon-Nikodym derivative ``log (dnu/dmu)(x)`` at a single point."""
     x = np.asarray(x, dtype=float)
@@ -449,7 +447,7 @@ def exact_divergence(
     kind: str,
     r: float | None = None,
     *,
-    data: EquivalenceData | None = None,
+    data: GaussianPair | None = None,
 ) -> float:
     """Exact divergence dispatch by kind (``kl``, ``renyi``, ``bhatt``, ``hellinger``)."""
     order, transform = _kind_order(kind, r)

@@ -23,14 +23,13 @@ from scipy.special import ndtri
 
 from .errors import NotPositive
 from .gaussian import (
-    EquivalenceData,
     GaussianMeasure,
     GaussianPair,
     exact_divergence,
     exact_renyi,
     log_radon_nikodym_batch,
 )
-from .operators import DEFAULT_TOL, TraceClassBlock, psd_sqrt, sym_eigen
+from .operators import DEFAULT_TOL, TraceClassBlock, _spectral_sqrt, sym_eigen
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
@@ -145,7 +144,7 @@ def sample_gaussian(measure: GaussianMeasure, n: int, seed: int) -> np.ndarray:
     """``n`` rows ``mean + C^{1/2} z`` with fresh standard normal ``z`` per row."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    root = psd_sqrt(measure.cov)
+    root = _spectral_sqrt(measure.spectrum)
     z = standard_normal(seed, STREAM_SAMPLE, (int(n), measure.dim))
     return measure.mean + z @ root.entries
 
@@ -166,13 +165,13 @@ def mc_kl_check(
     n: int,
     seed: int,
     *,
-    data: EquivalenceData | None = None,
+    data: GaussianPair | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of KL as the nu-mean of the log density ratio.
 
     Returns ``(estimate, stderr)``; the estimate is expected within 4 standard
-    errors of :func:`~gaussdiv.gaussian.exact_kl`.  ``data`` reuses the
-    pair's whitening, as in :func:`~gaussdiv.gaussian.log_radon_nikodym_batch`.
+    errors of :func:`~gaussdiv.gaussian.exact_kl`.  ``data``, the
+    :class:`~gaussdiv.gaussian.GaussianPair` ``(nu, mu)``, lends its whitening.
     """
     samples = sample_gaussian(nu, n, seed)
     return _mean_stderr(log_radon_nikodym_batch(samples, nu, mu, data=data))
@@ -184,7 +183,7 @@ def mc_rn_normalization(
     n: int,
     seed: int,
     *,
-    data: EquivalenceData | None = None,
+    data: GaussianPair | None = None,
 ) -> tuple[float, float]:
     """mu-mean of exp(log density ratio); the exact value is 1 (total mass of nu)."""
     samples = sample_gaussian(mu, n, seed)
@@ -209,7 +208,7 @@ def gauss_exp_quadratic(
         raise ValueError(f"b must be a vector of length {measure.dim}")
     if m_op.dim != measure.dim:
         raise ValueError(f"M has dim {m_op.dim}, measure has dim {measure.dim}")
-    root = psd_sqrt(measure.cov).entries
+    root = _spectral_sqrt(measure.spectrum).entries
     t_mat = root @ m_op.entries @ root
     spec = sym_eigen(TraceClassBlock(0.5 * (t_mat + t_mat.T)))
     t_eig = spec.eigenvalues
@@ -315,7 +314,7 @@ def sweep_gamma(
     if grid.size > 1 and np.any(np.diff(grid) >= 0.0):
         raise ValueError("gamma grid must be strictly decreasing")
     pair = GaussianPair(nu, mu)
-    exact = exact_divergence(nu, mu, kind, r, data=pair.equivalence)
+    exact = exact_divergence(nu, mu, kind, r, data=pair)
     return [_record(g, pair.regularized(kind, float(g), r), exact) for g in grid]
 
 
@@ -335,7 +334,7 @@ def sweep_r(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float, grid) -> lis
     pair = GaussianPair(nu, mu)
     records = []
     for r in grid:
-        exact = exact_renyi(nu, mu, float(r), data=pair.equivalence)
+        exact = exact_renyi(nu, mu, float(r), data=pair)
         value = exact if gamma == 0.0 else pair.regularized_renyi(float(r), gamma)
         records.append(_record(r, value, exact))
     return records
@@ -360,7 +359,7 @@ def default_rn_pair(seed: int) -> tuple[GaussianMeasure, GaussianMeasure]:
     offset inside the base's Cameron-Martin space.
     """
     mu = gen_measure(SpectrumFamily.power_law(5, 2.0), split_seed(seed, 11), mean_scale=0.3)
-    root = psd_sqrt(mu.cov).entries
+    root = _spectral_sqrt(mu.spectrum).entries
     q = _haar_frame(split_seed(seed, 12), 5)
     s_mat = (q * np.linspace(-0.5, 0.5, 5)) @ q.T
     cov = root @ (np.eye(5) - s_mat) @ root

@@ -307,7 +307,11 @@ def psd_sqrt(T: TraceClassBlock) -> TraceClassBlock:
     Eigenvalues in ``(-psd_clip, 0)`` are rounding noise and clip to zero;
     anything below ``-psd_clip`` raises :class:`NotPSD`.
     """
-    spec = sym_eigen(T)
+    return _spectral_sqrt(sym_eigen(T))
+
+
+def _spectral_sqrt(spec: Spectrum) -> TraceClassBlock:
+    """:func:`psd_sqrt` of the matrix whose eigendecomposition is ``spec``."""
     lam = spec.eigenvalues
     if lam.size and float(np.min(lam)) < -DEFAULT_TOL.psd_clip:
         raise NotPSD("matrix has a genuinely negative eigenvalue")

@@ -50,7 +50,11 @@ CASES = {
     ),
     "rn-check": (
         ["rn-check", "--n", "2000", "--seed", "7", "--nu", "{nu}", "--mu", "{mu}"],
-        {"eigh": 7, "eigvalsh": 5},
+        {"eigh": 6, "eigvalsh": 5},
+    ),
+    "rn-check built-in pair": (
+        ["rn-check", "--n", "2000", "--seed", "7"],
+        {"eigh": 6, "eigvalsh": 5},
     ),
 }
 

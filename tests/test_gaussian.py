@@ -106,6 +106,14 @@ class TestExactKL:
         nu, mu = perturbed_pair(rng, 4)
         data = gd.equivalence_data(nu, mu)
         assert gd.exact_kl(nu, mu, data=data) == gd.exact_kl(nu, mu)
+        # A pair that has not whitened yet does so on first use.
+        pair = gd.GaussianPair(nu, mu)
+        assert gd.exact_renyi(nu, mu, 0.3, data=pair) == gd.exact_renyi(nu, mu, 0.3)
+        points = rng.standard_normal((5, 4))
+        assert np.array_equal(
+            gd.log_radon_nikodym_batch(points, nu, mu, data=gd.GaussianPair(nu, mu)),
+            gd.log_radon_nikodym_batch(points, nu, mu),
+        )
 
     def test_data_from_another_pair_is_rejected(self):
         # Data whitened for (mu, mu) describes S = 0, delta = 0: reusing it for
@@ -114,13 +122,21 @@ class TestExactKL:
         nu = gd.gen_measure(family, 4, mean_scale=0.3)
         mu = gd.gen_measure(family, 3, mean_scale=0.3)
         assert gd.exact_kl(nu, mu) == pytest.approx(13.57, abs=0.01)
-        foreign = gd.equivalence_data(mu, mu)
-        with pytest.raises(ValueError):
-            gd.exact_kl(nu, mu, data=foreign)
-        with pytest.raises(ValueError):
-            gd.exact_renyi(nu, mu, 0.5, data=foreign)
-        with pytest.raises(ValueError):
-            gd.log_radon_nikodym_batch(np.zeros((3, 6)), nu, mu, data=foreign)
+        for foreign in (gd.equivalence_data(mu, mu), gd.GaussianPair(mu, nu)):
+            with pytest.raises(ValueError):
+                gd.exact_kl(nu, mu, data=foreign)
+            with pytest.raises(ValueError):
+                gd.exact_renyi(nu, mu, 0.5, data=foreign)
+            with pytest.raises(ValueError):
+                gd.exact_divergence(nu, mu, "hellinger", data=foreign)
+            with pytest.raises(ValueError):
+                gd.log_radon_nikodym_batch(np.zeros((3, 6)), nu, mu, data=foreign)
+            with pytest.raises(ValueError):
+                gd.log_radon_nikodym(np.zeros(6), nu, mu, data=foreign)
+            with pytest.raises(ValueError):
+                gd.mc_kl_check(nu, mu, 10, 1, data=foreign)
+            with pytest.raises(ValueError):
+                gd.mc_rn_normalization(nu, mu, 10, 1, data=foreign)
 
 
 class TestExactRenyi:

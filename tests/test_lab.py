@@ -101,6 +101,17 @@ class TestSampling:
         emp_cov = samples.T @ samples / n
         assert np.max(np.abs(emp_cov - np.eye(2))) < bound
 
+    def test_samples_do_not_depend_on_who_factorized_the_covariance(self):
+        family = gd.SpectrumFamily.power_law(6, 2.0)
+        fresh = gd.gen_measure(family, seed=4)
+        base = gd.gen_measure(family, seed=4)
+        nu = gd.gen_measure(gd.SpectrumFamily.power_law(6, 2.2), seed=4)
+        gd.exact_kl(nu, base)  # the pair's whitening fills base.spectrum
+        z = gd.standard_normal(8, STREAM_SAMPLE, (40, 6))
+        want = fresh.mean + z @ gd.psd_sqrt(fresh.cov).entries
+        assert np.array_equal(gd.sample_gaussian(fresh, 40, seed=8), want)
+        assert np.array_equal(gd.sample_gaussian(base, 40, seed=8), want)
+
     def test_sample_covariance_tracks_target(self):
         rng_free_measure = gd.gen_measure(gd.SpectrumFamily.explicit([2.0, 0.5]), seed=9)
         samples = gd.sample_gaussian(rng_free_measure, 200_000, seed=13)
@@ -209,6 +220,16 @@ class TestSweeps:
             assert b.abs_err <= 1.05 * a.abs_err
         assert records[-1].rel_err < 1e-5
 
+    def test_gamma_sweep_records_equal_standalone_calls(self):
+        grid = np.geomspace(1e-1, 1e-8, 4)
+        for kind, r in (("kl", None), ("renyi", 0.3), ("bhatt", None), ("hellinger", None)):
+            exact = gd.exact_divergence(self.nu, self.mu, kind, r)
+            for rec in gd.sweep_gamma(self.nu, self.mu, kind, grid, r):
+                assert rec.exact == exact
+                assert rec.regularized == gd.regularized_divergence(
+                    self.nu, self.mu, kind, rec.param, r
+                )
+
     def test_gamma_sweep_renyi_requires_order(self):
         grid = np.array([1e-2, 1e-3])
         with pytest.raises(ValueError):
@@ -249,6 +270,19 @@ class TestSweeps:
         for rec in records:
             assert rec.abs_err > 0.0
             assert rec.rel_err < 1e-4
+
+    def test_r_sweep_records_equal_standalone_calls(self):
+        grid = [0.1, 0.3, 0.5, 0.7, 0.9]
+        for gamma in (0.0, 1e-6):
+            for rec in gd.sweep_r(self.nu, self.mu, gamma, grid):
+                exact = gd.exact_renyi(self.nu, self.mu, rec.param)
+                assert rec.exact == exact
+                if gamma == 0.0:
+                    assert rec.regularized == exact
+                else:
+                    assert rec.regularized == gd.regularized_renyi(
+                        self.nu, self.mu, rec.param, gamma
+                    )
 
     def test_r_sweep_sorts_grid(self):
         records = gd.sweep_r(self.nu, self.mu, 0.0, [0.9, 0.1, 0.5])

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimMismatch, NonFinite, NotPositive, NotPSD, SingularPair
-from .logdet import ENDPOINT_MARGIN
+from .logdet import LogDetPath, _endpoint_path, _interior, _kl_limit
 from .operators import (
     DEFAULT_TOL,
     Spectrum,
@@ -103,13 +103,13 @@ class GaussianPair:
     ``s_block`` with ``nu.cov = mu.cov^{1/2} (I - S) mu.cov^{1/2}``, its
     eigendecomposition ``s_spectrum``, the whitened mean shift ``delta``, and
     ``singular``: the top eigenvalue of ``S`` is within ``singular_margin`` of 1.
-    With ``mu.spectrum``, ``mu.cov = U diag(lambda) U^T``, ``g = U^T (m_nu - m_mu)``
-    and ``d = diag(U^T C_nu U)`` turn the regularized KL at any ``gamma`` into
-    an O(n) sum.  The regularized Renyi of order ``r`` reads the eigenvalues of
-    the gamma-free blend ``(1-r) C_nu + r C_mu`` and the mean difference in its
-    eigenbasis, cached per order; the blend's eigenvectors are not kept.  The
-    shifted log-determinants come from the eigenvalues each
-    :class:`GaussianMeasure` keeps.
+    The regularized divergences pass sums over gamma-free eigenvalues to the
+    alpha log-det helpers of :mod:`~gaussdiv.logdet`: each measure's
+    ``eigenvalues`` give the shifted log-determinants; with ``mu.spectrum``,
+    ``mu.cov = U diag(lambda) U^T``, ``g = U^T (m_nu - m_mu)`` and
+    ``d = diag(U^T C_nu U)`` give the KL limit's trace and quadratic form as
+    O(n) sums; and the blend ``(1-r) C_nu + r C_mu``, whose eigenvalues and mean
+    difference in its eigenbasis are cached per order, gives the Renyi values.
     """
 
     def __init__(self, nu: GaussianMeasure, mu: GaussianMeasure):
@@ -167,39 +167,35 @@ class GaussianPair:
             self._blends[r] = (spec.eigenvalues, spec.eigenvectors.T @ (self.nu.mean - self.mu.mean))
         return self._blends[r]
 
-    def regularized_kl(self, gamma: float) -> float:
-        """:func:`regularized_kl` of the pair."""
-        gamma = _check_gamma(gamma)
-        ld_nu = _shifted_logdet(self.nu.eigenvalues, gamma)
-        ld_mu = _shifted_logdet(self.mu.eigenvalues, gamma)
-        lam, g, d = self._kl_terms
-        shifted = lam + gamma
-        _warn_ill_conditioned(shifted)
-        trace = float(np.sum((d + gamma) / shifted)) - self.nu.dim
-        quad = float(np.sum(g * g / shifted))
-        return 0.5 * quad + 0.5 * (trace - (ld_nu - ld_mu))
-
     def regularized_renyi(self, r: float, gamma: float) -> float:
-        """:func:`regularized_renyi` of the pair.
+        """:func:`regularized_renyi` of the pair: the quadratic form plus half the
+        alpha log-det divergence, ``alpha = 2r - 1``, of the shifted covariances.
 
-        Orders within ``ENDPOINT_MARGIN / 2`` of 1 or 0, where the
-        ``1/(r(1-r))`` pole makes the blend formula meaningless, take the KL
-        of that direction.
+        Orders that :mod:`~gaussdiv.logdet` routes to an endpoint limit take the
+        KL of that direction, read from ``_kl_terms`` instead of a blend.
         """
         r = _check_order(r)
-        if 2.0 * r - 1.0 >= 1.0 - ENDPOINT_MARGIN:
-            return self.regularized_kl(gamma)
-        if 2.0 * r - 1.0 <= -1.0 + ENDPOINT_MARGIN:
-            return GaussianPair(self.mu, self.nu).regularized_kl(gamma)
-        gamma = _check_gamma(gamma)
-        blend, proj = self._blend(r)
-        ld_blend = _shifted_logdet(blend, gamma)
+        alpha = 2.0 * r - 1.0
+        path = _endpoint_path(alpha)
+        if path is LogDetPath.LIMIT_NEG1:
+            return GaussianPair(self.mu, self.nu).regularized_renyi(1.0, gamma)
+        gamma = float(gamma)
+        if not math.isfinite(gamma) or gamma <= 0:
+            raise NotPositive(f"gamma must be strictly positive, got {gamma}")
         ld_nu = _shifted_logdet(self.nu.eigenvalues, gamma)
         ld_mu = _shifted_logdet(self.mu.eigenvalues, gamma)
-        shifted = blend + gamma
+        if path is None:
+            blend, proj = self._blend(r)
+            ld_blend = _shifted_logdet(blend, gamma)
+            shifted = blend + gamma
+            result = _interior(alpha, 1.0 - r, r, ld_blend, ld_nu, ld_mu, gamma, gamma)
+        else:
+            lam, proj, d = self._kl_terms
+            shifted = lam + gamma
+            trace = float(np.sum((d + gamma) / shifted)) - self.nu.dim
+            result = _kl_limit(alpha, path, ld_nu, ld_mu, trace, gamma, gamma)
         _warn_ill_conditioned(shifted)
-        quad = float(np.sum(proj * proj / shifted))
-        return 0.5 * quad + 0.5 * (ld_blend - (1.0 - r) * ld_nu - r * ld_mu) / (r * (1.0 - r))
+        return 0.5 * float(np.sum(proj * proj / shifted)) + 0.5 * result.value
 
     def regularized(self, kind: str, gamma: float, r: float | None = None) -> float:
         """:func:`regularized_divergence` of the pair."""
@@ -282,12 +278,13 @@ def exact_renyi(
     ``-1/(r(1-r)) log integral (dnu)^r (dmu)^{1-r}``.
 
     ``r = 1`` and ``r = 0`` redirect to ``exact_kl(nu, mu)`` and
-    ``exact_kl(mu, nu)``, the two limits of the family.
+    ``exact_kl(mu, nu)``, the two limits of the family; ``data`` from another
+    pair raises ``ValueError`` at every order.
     """
     r = _check_order(r)
     if r == 1.0:
         return exact_kl(nu, mu, data=data)
-    if r == 0.0:
+    if r == 0.0 and (data is None or (data.nu is nu and data.mu is mu)):
         return exact_kl(mu, nu)
     data = _equivalent_data(nu, mu, data)
     a = data.s_spectrum.eigenvalues
@@ -371,13 +368,6 @@ def log_radon_nikodym(
 # ---------------------------------------------------------------------------
 
 
-def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma <= 0:
-        raise NotPositive(f"gamma must be strictly positive, got {gamma}")
-    return gamma
-
-
 def regularized_kl(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float) -> float:
     """Regularized KL: quadratic form in ``(C_mu + gamma I)^{-1}`` plus half the
     alpha = 1 log-det divergence of the shifted covariances.
@@ -387,7 +377,7 @@ def regularized_kl(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float) -> fl
     :class:`~gaussdiv.errors.IllConditioned` when ``C_mu + gamma I`` has a
     condition number beyond ``CONDITION_WARN``.
     """
-    return GaussianPair(nu, mu).regularized_kl(gamma)
+    return GaussianPair(nu, mu).regularized_renyi(1.0, gamma)
 
 
 def regularized_renyi(nu: GaussianMeasure, mu: GaussianMeasure, r: float, gamma: float) -> float:

@@ -155,7 +155,9 @@ def sample_gaussian(measure: GaussianMeasure, n: int, seed: int) -> np.ndarray:
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
-    """Sample mean of ``vals`` and its standard error."""
+    """Sample mean of ``vals`` and its standard error, which needs at least two samples."""
+    if vals.size < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {vals.size}")
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
@@ -265,7 +267,7 @@ def sampler_gate(n: int, seed: int) -> bool:
     """
     for index, (build, a, b) in enumerate(_GATE_CONFIGS):
         mc, closed, stderr = _moment4(build(), np.array(a), np.array(b), n, split_seed(seed, index))
-        if abs(mc - closed) > 5.0 * stderr:
+        if not abs(mc - closed) <= 5.0 * stderr:
             return False
     return True
 

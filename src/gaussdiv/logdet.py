@@ -15,11 +15,13 @@ with ``combo = (1-alpha)/2 * x + (1+alpha)/2 * y`` and
 correction term vanishes when ``gamma = mu`` and the formula collapses to the
 familiar finite-dimensional log-det divergence.
 
-At the endpoints the 1/(1-alpha^2) pole forces separate limit formulas.  Their
-trace term is evaluated by a dense solve on the finite carrier with the tail
-count corrected afterwards: assembling the split inverse (1/shift tail plus
-finite correction) and multiplying through cancels catastrophically when the
-shift is tiny.
+At the endpoints the 1/(1-alpha^2) pole forces separate limit formulas.  The
+private helpers below hold the arithmetic on the log-determinants, shared with
+:class:`~gaussdiv.gaussian.GaussianPair`.  :func:`alpha_logdet` evaluates the
+limits' trace term by a dense solve on the finite carrier with the tail count
+corrected afterwards: assembling the split inverse (1/shift tail plus finite
+correction) and multiplying through cancels catastrophically when the shift is
+tiny.
 """
 
 from __future__ import annotations
@@ -55,27 +57,35 @@ class LogDetResult:
     path: LogDetPath
 
 
-def _check_pair(x: ShiftedOperator, y: ShiftedOperator) -> None:
-    if x.dim != y.dim:
-        raise DimMismatch(f"operator dims differ: {x.dim} vs {y.dim}")
-    if x.shift <= 0 or y.shift <= 0:
-        raise NotPositive("alpha_logdet requires strictly positive shifts")
+def _endpoint_path(alpha: float) -> LogDetPath | None:
+    """The limit that ``alpha`` routes to, or None for the interior formula."""
+    if alpha >= 1.0 - ENDPOINT_MARGIN:
+        return LogDetPath.LIMIT_POS1
+    if alpha <= -1.0 + ENDPOINT_MARGIN:
+        return LogDetPath.LIMIT_NEG1
+    return None
 
 
-def _limit_pos1(x: ShiftedOperator, y: ShiftedOperator) -> float:
-    """KL-direction limit: (g/m-1)log(g/m) + tr_X[y^{-1}x - I] - (g/m) logdet_X[y^{-1}x]."""
-    ratio = x.shift / y.shift
-    # logdet_X of the product equals the difference of logdets (product
-    # property); this avoids eigendecomposing the nonsymmetric product.  The
-    # logdets also validate positivity of both operators before the solve.
-    logdet_term = ext_fredholm_logdet(x) - ext_fredholm_logdet(y)
-    # Extended trace of y^{-1}x: dense trace on the carrier, then count the
-    # identity tail (ratio per carrier dimension) once instead of n times.
-    n = x.dim
-    eye = np.eye(n)
-    finite = np.trace(np.linalg.solve(y.block + y.shift * eye, x.block + x.shift * eye))
-    trace_term = float(finite) - (n - 1) * ratio - 1.0
-    return (ratio - 1.0) * math.log(ratio) + trace_term - ratio * logdet_term
+def _interior(
+    alpha: float, w_x: float, w_y: float, ld_combo: float, ld_x: float, ld_y: float,
+    g: float, m: float,
+) -> LogDetResult:
+    """``d^alpha`` from the logdets of ``w_x x + w_y y``, ``x`` and ``y``; shifts ``g``, ``m``."""
+    if g == m:
+        bracket = ld_combo - w_x * ld_x - w_y * ld_y
+        return LogDetResult(bracket / (w_x * w_y), alpha, w_x, LogDetPath.EQUAL_SHIFT)
+    beta = w_x * g / (w_x * g + w_y * m)
+    bracket = ld_combo - beta * ld_x - (1.0 - beta) * ld_y + (beta - w_x) * math.log(g / m)
+    return LogDetResult(bracket / (w_x * w_y), alpha, beta, LogDetPath.GENERAL)
+
+
+def _kl_limit(
+    alpha: float, path: LogDetPath, ld_x: float, ld_y: float, trace: float, g: float, m: float
+) -> LogDetResult:
+    """KL-direction limit; ``trace = tr_X[y^{-1}x - I]``, ``logdet_X[y^{-1}x] = ld_x - ld_y``."""
+    ratio = g / m
+    value = (ratio - 1.0) * math.log(ratio) + trace - ratio * (ld_x - ld_y)
+    return LogDetResult(value, alpha, None, path)
 
 
 def alpha_logdet(alpha: float, x: ShiftedOperator, y: ShiftedOperator) -> LogDetResult:
@@ -97,31 +107,30 @@ def alpha_logdet(alpha: float, x: ShiftedOperator, y: ShiftedOperator) -> LogDet
     alpha = float(alpha)
     if not math.isfinite(alpha) or not -1.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [-1, 1], got {alpha}")
-    _check_pair(x, y)
+    if x.dim != y.dim:
+        raise DimMismatch(f"operator dims differ: {x.dim} vs {y.dim}")
+    if x.shift <= 0 or y.shift <= 0:
+        raise NotPositive("alpha_logdet requires strictly positive shifts")
 
-    if alpha >= 1.0 - ENDPOINT_MARGIN:
-        return LogDetResult(_limit_pos1(x, y), alpha, None, LogDetPath.LIMIT_POS1)
-    if alpha <= -1.0 + ENDPOINT_MARGIN:
+    path = _endpoint_path(alpha)
+    if path is LogDetPath.LIMIT_NEG1:
         # The alpha = -1 limit is the mirror image of alpha = +1 with the
         # roles of the operators (and their shifts) exchanged.
-        return LogDetResult(_limit_pos1(y, x), alpha, None, LogDetPath.LIMIT_NEG1)
+        x, y = y, x
+    ld_x = ext_fredholm_logdet(x)
+    ld_y = ext_fredholm_logdet(y)
+    if path is not None:
+        # Extended trace of y^{-1}x - I, once the logdets validated positivity: dense
+        # trace on the carrier, the identity tail (ratio per dimension) counted once.
+        eye = np.eye(x.dim)
+        finite = np.trace(np.linalg.solve(y.block + y.shift * eye, x.block + x.shift * eye))
+        trace = float(finite) - (x.dim - 1) * (x.shift / y.shift) - 1.0
+        return _kl_limit(alpha, path, ld_x, ld_y, trace, x.shift, y.shift)
 
     w_x = 0.5 * (1.0 - alpha)
     w_y = 0.5 * (1.0 + alpha)
-    combo = shifted_combine([(w_x, x), (w_y, y)])
-    ld_combo = ext_fredholm_logdet(combo)
-    ld_x = ext_fredholm_logdet(x)
-    ld_y = ext_fredholm_logdet(y)
-    scale = 4.0 / (1.0 - alpha * alpha)
-
-    if x.shift == y.shift:
-        bracket = ld_combo - w_x * ld_x - w_y * ld_y
-        return LogDetResult(scale * bracket, alpha, w_x, LogDetPath.EQUAL_SHIFT)
-
-    g, m = x.shift, y.shift
-    beta = (1.0 - alpha) * g / ((1.0 - alpha) * g + (1.0 + alpha) * m)
-    bracket = ld_combo - beta * ld_x - (1.0 - beta) * ld_y + (beta - w_x) * math.log(g / m)
-    return LogDetResult(scale * bracket, alpha, beta, LogDetPath.GENERAL)
+    ld_combo = ext_fredholm_logdet(shifted_combine([(w_x, x), (w_y, y)]))
+    return _interior(alpha, w_x, w_y, ld_combo, ld_x, ld_y, x.shift, y.shift)
 
 
 def alpha_logdet_dual_check(

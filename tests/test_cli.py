@@ -205,6 +205,13 @@ class TestRnCheck:
         assert main(["rn-check", "--n", "20000", "--seed", "7",
                      "--nu", nu_path, "--mu", mu_path]) == 0
 
+    def test_one_sample_is_a_validation_error(self, capsys):
+        # One sample gives no standard error, so no gate can pass on it.
+        assert main(["rn-check", "--n", "1", "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "moment_gate=pass" not in captured.out
+        assert "error:" in captured.err
+
     def test_requires_both_measures(self, pair_files, capsys):
         nu_path, _, _, _ = pair_files
         assert main(["rn-check", "--n", "100", "--seed", "1", "--nu", nu_path]) == 2

@@ -125,8 +125,9 @@ class TestExactKL:
         for foreign in (gd.equivalence_data(mu, mu), gd.GaussianPair(mu, nu)):
             with pytest.raises(ValueError):
                 gd.exact_kl(nu, mu, data=foreign)
-            with pytest.raises(ValueError):
-                gd.exact_renyi(nu, mu, 0.5, data=foreign)
+            for r in (0.0, 0.5):
+                with pytest.raises(ValueError):
+                    gd.exact_renyi(nu, mu, r, data=foreign)
             with pytest.raises(ValueError):
                 gd.exact_divergence(nu, mu, "hellinger", data=foreign)
             with pytest.raises(ValueError):
@@ -321,6 +322,10 @@ class TestRegularized:
         mu = rand_measure(rng, 4)
         assert gd.regularized_renyi(nu, mu, 1.0, 1e-2) == gd.regularized_kl(nu, mu, 1e-2)
         assert gd.regularized_renyi(nu, mu, 0.0, 1e-2) == gd.regularized_kl(mu, nu, 1e-2)
+        # Orders inside the endpoint margin of alpha = 2r - 1 take the same limit.
+        near = gd.ENDPOINT_MARGIN / 4
+        assert gd.regularized_renyi(nu, mu, 1.0 - near, 1e-2) == gd.regularized_kl(nu, mu, 1e-2)
+        assert gd.regularized_renyi(nu, mu, near, 1e-2) == gd.regularized_kl(mu, nu, 1e-2)
 
     def test_finite_on_degenerate_covariances(self):
         # Rank-deficient on both sides: exact is undefined, regularized is not.

@@ -139,6 +139,15 @@ class TestMonteCarloKL:
         with pytest.raises(gd.SingularPair):
             gd.mc_rn_normalization(nu, mu, 100, seed=1)
 
+    def test_one_sample_has_no_standard_error(self):
+        # One sample has zero degrees of freedom: its stderr would be NaN, and
+        # every "within k stderr" check would then pass or fail vacuously.
+        nu, mu = gd.default_rn_pair(7)
+        with pytest.raises(ValueError):
+            gd.mc_kl_check(nu, mu, 1, seed=1)
+        with pytest.raises(ValueError):
+            gd.mc_rn_normalization(nu, mu, 1, seed=1)
+
 
 class TestGaussExpQuadratic:
     def test_scalar_frozen_values(self):
@@ -202,6 +211,10 @@ class TestFourthMoment:
 
     def test_gate_passes(self):
         assert gd.sampler_gate(50_000, seed=123)
+
+    def test_gate_needs_two_samples(self):
+        with pytest.raises(ValueError):
+            gd.sampler_gate(1, seed=123)
 
 
 class TestSweeps:

@@ -19,7 +19,7 @@ from .operators import DEFAULT_TOL, TraceClassBlock
 class LinearGaussianModel:
     """Forward map, noise covariance, Gaussian prior, and one observation vector."""
 
-    __slots__ = ("forward", "noise_cov", "prior", "observation")
+    __slots__ = ("forward", "noise_cov", "prior", "observation", "_solved")
 
     def __init__(self, forward, noise_cov, prior: GaussianMeasure, observation):
         a = np.array(forward, dtype=float)
@@ -50,6 +50,7 @@ class LinearGaussianModel:
         self.noise_cov = gamma
         self.prior = prior
         self.observation = y
+        self._solved = None
 
     @property
     def dim(self) -> int:
@@ -81,7 +82,11 @@ class LinearGaussianModel:
 
 
 def _update(model: LinearGaussianModel):
-    """Posterior measure and the Cholesky factor of ``Gamma + A C0 A^T`` it was solved with."""
+    """Posterior measure and the Cholesky factor of ``Gamma + A C0 A^T`` it was solved with,
+    computed on first use and kept by the model: :func:`posterior` and
+    :func:`kl_posterior_prior` share one observation-space factorization."""
+    if model._solved is not None:
+        return model._solved
     a = model.forward
     ac0 = a @ model.prior.cov.entries
     k = model.noise_cov.entries + ac0 @ a.T
@@ -92,7 +97,8 @@ def _update(model: LinearGaussianModel):
     innovation = model.observation - a @ model.prior.mean
     mean = model.prior.mean + ac0.T @ scipy.linalg.cho_solve(factor, innovation)
     cov = model.prior.cov.entries - ac0.T @ scipy.linalg.cho_solve(factor, ac0)
-    return GaussianMeasure(mean, TraceClassBlock(0.5 * (cov + cov.T))), factor
+    model._solved = GaussianMeasure(mean, TraceClassBlock(0.5 * (cov + cov.T))), factor
+    return model._solved
 
 
 def posterior(model: LinearGaussianModel) -> GaussianMeasure:

@@ -7,15 +7,14 @@ measure-theoretic sense and report mutual singularity as
 :class:`~gaussdiv.errors.SingularPair`.
 
 Every divergence of a pair reads the factorizations of one
-:class:`GaussianPair`, each computed once on first use.  Everything exact runs
-through its whitening: the base covariance's eigendecomposition, which the
-base :class:`GaussianMeasure` keeps, produces the perturbation
-``S = I - C0^{-1/2} C C0^{-1/2}`` and the whitened mean shift
-``delta = C0^{-1/2}(m - m0)``, and each divergence is a closed-form function
-of the spectrum of ``S`` and of ``delta``.  The regularized forms
-depend on ``gamma`` only through eigenvalues that do not: those of each
-covariance, of the base in its eigenbasis, and of the Renyi blend of each
-order.  A gamma sweep therefore factorizes once, not once per grid point.
+:class:`GaussianPair`, each computed once on first use and chosen by what the
+quantity needs.  Everything exact runs through the Cholesky frame of the base,
+``C_mu = L L^T``: the perturbation ``S = I - L^{-1} C_nu L^{-T}`` (so that
+``C_nu = L (I - S) L^T``) and the whitened mean shift ``delta = L^{-1}(m_nu - m_mu)``;
+each exact divergence is a closed-form function of the spectrum of ``S`` and of
+``delta`` in its eigenbasis.  The regularized KL depends on ``gamma`` only
+through the base's eigendecomposition, so a KL gamma sweep factorizes once;
+every other regularized order takes Cholesky factors at its ``gamma``.
 Every divergence kind is a Renyi value passed through a transform, dispatched
 by :func:`exact_divergence` and :func:`regularized_divergence`.
 """
@@ -26,15 +25,16 @@ import math
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
-from .errors import DimMismatch, NonFinite, NotPositive, NotPSD, SingularPair
+from .errors import Degenerate, DimMismatch, NonFinite, NotPositive, NotPSD, SingularPair
 from .logdet import LogDetPath, _endpoint_path, _interior, _kl_limit
 from .operators import (
+    CONDITION_WARN,
     DEFAULT_TOL,
     Spectrum,
     TraceClassBlock,
     _shifted_logdet,
-    _spectral_inv_sqrt,
     _warn_ill_conditioned,
     sym_eigen,
 )
@@ -99,17 +99,21 @@ class GaussianMeasure:
 class GaussianPair:
     """The ordered pair ``(nu, mu)`` with its factorizations, each computed once on first use.
 
-    Whitening by ``base_inv_sqrt = mu.cov^{-1/2}`` gives the perturbation
-    ``s_block`` with ``nu.cov = mu.cov^{1/2} (I - S) mu.cov^{1/2}``, its
-    eigendecomposition ``s_spectrum``, the whitened mean shift ``delta``, and
-    ``singular``: the top eigenvalue of ``S`` is within ``singular_margin`` of 1.
-    The regularized divergences pass sums over gamma-free eigenvalues to the
-    alpha log-det helpers of :mod:`~gaussdiv.logdet`: each measure's
-    ``eigenvalues`` give the shifted log-determinants; with ``mu.spectrum``,
-    ``mu.cov = U diag(lambda) U^T``, ``g = U^T (m_nu - m_mu)`` and
-    ``d = diag(U^T C_nu U)`` give the KL limit's trace and quadratic form as
-    O(n) sums; and the blend ``(1-r) C_nu + r C_mu``, whose eigenvalues and mean
-    difference in its eigenbasis are cached per order, gives the Renyi values.
+    Each quantity takes the cheapest factorization that gives it, chosen by the
+    order alone, so a sweep record and a standalone call agree exactly.  The
+    exact divergences and the log density ratio whiten by ``base_factor``, the
+    Cholesky factor ``L`` of ``mu.cov``: ``s_block`` is ``S = I - L^{-1} C_nu L^{-T}``,
+    so ``nu.cov = L (I - S) L^T``, and ``delta = L^{-1}(m_nu - m_mu)``; any other
+    whitening changes both by one rotation, which no divergence sees.  The KL
+    and ``singular`` (the top eigenvalue of ``S`` within ``singular_margin`` of
+    1) read ``s_eigenvalues``; other orders and the log density ratio need
+    ``s_spectrum``.  Regularized orders routed to a KL limit read gamma-free
+    terms: each measure's ``eigenvalues`` give the shifted log-determinants, and
+    ``mu.spectrum``, ``mu.cov = U diag(lambda) U^T``, gives the trace and quadratic
+    form as O(n) sums of ``g = U^T (m_nu - m_mu)`` and ``d = diag(U^T C_nu U)``.
+    Every other order takes Cholesky factors at its gamma: of ``C_nu + gamma I``
+    and ``C_mu + gamma I`` (log-determinants cached per gamma) and of the shifted
+    blend ``(1-r) C_nu + r C_mu + gamma I``.
     """
 
     def __init__(self, nu: GaussianMeasure, mu: GaussianMeasure):
@@ -117,17 +121,29 @@ class GaussianPair:
             raise DimMismatch(f"measure dims differ: {nu.dim} vs {mu.dim}")
         self.nu = nu
         self.mu = mu
-        self._blends: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._logdets: dict[float, tuple[float, float]] = {}
 
     @cached_property
-    def base_inv_sqrt(self) -> np.ndarray:
-        return _spectral_inv_sqrt(self.mu.spectrum).entries
+    def base_factor(self) -> np.ndarray:
+        lam = self.mu.eigenvalues
+        if lam.size == 0 or float(lam[0]) <= DEFAULT_TOL.psd_clip:
+            raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
+        _warn_ill_conditioned(lam)
+        try:
+            return np.tril(scipy.linalg.cho_factor(self.mu.cov.entries, lower=True)[0])
+        except scipy.linalg.LinAlgError as exc:
+            raise Degenerate("matrix has an eigenvalue at or below the clip threshold") from exc
 
     @cached_property
     def s_block(self) -> TraceClassBlock:
-        w = self.base_inv_sqrt
-        s_mat = np.eye(self.nu.dim) - w @ self.nu.cov.entries @ w
+        factor = self.base_factor
+        half = scipy.linalg.solve_triangular(factor, self.nu.cov.entries, lower=True)
+        s_mat = np.eye(self.nu.dim) - scipy.linalg.solve_triangular(factor, half.T, lower=True)
         return TraceClassBlock(0.5 * (s_mat + s_mat.T))
+
+    @cached_property
+    def s_eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.s_block.entries)  # ascending
 
     @cached_property
     def s_spectrum(self) -> Spectrum:
@@ -135,14 +151,20 @@ class GaussianPair:
 
     @cached_property
     def delta(self) -> np.ndarray:
-        delta = self.base_inv_sqrt @ (self.nu.mean - self.mu.mean)
+        delta = scipy.linalg.solve_triangular(self.base_factor, self.nu.mean - self.mu.mean, lower=True)
         delta.flags.writeable = False
         return delta
 
     @cached_property
     def singular(self) -> bool:
-        a = self.s_spectrum.eigenvalues
-        return bool(a.size and float(a[0]) >= 1.0 - DEFAULT_TOL.singular_margin)
+        a = self.s_eigenvalues
+        return bool(a.size and float(a[-1]) >= 1.0 - DEFAULT_TOL.singular_margin)
+
+    @cached_property
+    def _rn_frame(self) -> np.ndarray:
+        """``L^{-T} V``: the row ``x - m_mu`` times it is ``x`` whitened, in the eigenbasis of ``S``."""
+        v = self.s_spectrum.eigenvectors
+        return scipy.linalg.solve_triangular(self.base_factor, v, lower=True, trans="T")
 
     @cached_property
     def _kl_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,20 +181,14 @@ class GaussianPair:
         d = np.einsum("ij,ij->j", u, self.nu.cov.entries @ u)
         return lam, u.T @ (self.nu.mean - self.mu.mean), d
 
-    def _blend(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of ``(1-r) C_nu + r C_mu`` and the mean difference in its eigenbasis."""
-        if r not in self._blends:
-            blend = (1.0 - r) * self.nu.cov.entries + r * self.mu.cov.entries
-            spec = sym_eigen(TraceClassBlock(blend))
-            self._blends[r] = (spec.eigenvalues, spec.eigenvectors.T @ (self.nu.mean - self.mu.mean))
-        return self._blends[r]
-
     def regularized_renyi(self, r: float, gamma: float) -> float:
         """:func:`regularized_renyi` of the pair: the quadratic form plus half the
         alpha log-det divergence, ``alpha = 2r - 1``, of the shifted covariances.
 
         Orders that :mod:`~gaussdiv.logdet` routes to an endpoint limit take the
-        KL of that direction, read from ``_kl_terms`` instead of a blend.
+        KL of that direction, read from ``_kl_terms``.  The interior formula takes
+        plain log-determinants: the ``log gamma`` tails of the extended ones cancel
+        between equal shifts.
         """
         r = _check_order(r)
         alpha = 2.0 * r - 1.0
@@ -182,18 +198,26 @@ class GaussianPair:
         gamma = float(gamma)
         if not math.isfinite(gamma) or gamma <= 0:
             raise NotPositive(f"gamma must be strictly positive, got {gamma}")
+        if path is None:
+            if gamma not in self._logdets:
+                covs = (self.nu.cov.entries, self.mu.cov.entries)
+                self._logdets[gamma] = tuple(_shifted_cholesky(c, gamma)[1] for c in covs)
+            blend = (1.0 - r) * self.nu.cov.entries + r * self.mu.cov.entries
+            factor, ld_blend = _shifted_cholesky(blend, gamma)
+            result = _interior(alpha, 1.0 - r, r, ld_blend, *self._logdets[gamma], gamma, gamma)
+            # Weyl's inequalities bound the shifted blend's condition number by top / bottom.
+            lam_nu, lam_mu = self.nu.eigenvalues, self.mu.eigenvalues
+            top = (1.0 - r) * float(lam_nu[-1]) + r * float(lam_mu[-1]) + gamma
+            if top > CONDITION_WARN * ((1.0 - r) * float(lam_nu[0]) + r * float(lam_mu[0]) + gamma):
+                _warn_ill_conditioned(np.linalg.eigvalsh(blend) + gamma)
+            z = scipy.linalg.solve_triangular(factor, self.nu.mean - self.mu.mean, lower=True)
+            return 0.5 * float(z @ z) + 0.5 * result.value
         ld_nu = _shifted_logdet(self.nu.eigenvalues, gamma)
         ld_mu = _shifted_logdet(self.mu.eigenvalues, gamma)
-        if path is None:
-            blend, proj = self._blend(r)
-            ld_blend = _shifted_logdet(blend, gamma)
-            shifted = blend + gamma
-            result = _interior(alpha, 1.0 - r, r, ld_blend, ld_nu, ld_mu, gamma, gamma)
-        else:
-            lam, proj, d = self._kl_terms
-            shifted = lam + gamma
-            trace = float(np.sum((d + gamma) / shifted)) - self.nu.dim
-            result = _kl_limit(alpha, path, ld_nu, ld_mu, trace, gamma, gamma)
+        lam, proj, d = self._kl_terms
+        shifted = lam + gamma
+        trace = float(np.sum((d + gamma) / shifted)) - self.nu.dim
+        result = _kl_limit(alpha, path, ld_nu, ld_mu, trace, gamma, gamma)
         _warn_ill_conditioned(shifted)
         return 0.5 * float(np.sum(proj * proj / shifted)) + 0.5 * result.value
 
@@ -203,13 +227,27 @@ class GaussianPair:
         return transform(self.regularized_renyi(order, gamma))
 
 
+def _shifted_cholesky(matrix: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
+    """Cholesky factor of ``matrix + gamma I`` (its lower triangle) and its log-determinant."""
+    shifted = matrix.copy()
+    shifted.flat[:: shifted.shape[0] + 1] += gamma
+    try:
+        factor = scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True)[0]
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositive("shifted operator is not positive definite") from exc
+    return factor, 2.0 * float(np.sum(np.log(np.diag(factor))))
+
+
 def equivalence_data(nu: GaussianMeasure, mu: GaussianMeasure) -> GaussianPair:
-    """The pair ``(nu, mu)``, whitened: ``S``, ``delta`` and the singularity flag computed.
+    """The pair ``(nu, mu)``, whitened in the Cholesky frame ``mu.cov = L L^T`` of the base:
+    ``S = I - L^{-1} C_nu L^{-T}`` (so ``nu.cov = L (I - S) L^T``), its eigenvalues
+    and the singularity flag computed.
 
     Raises
     ------
     Degenerate
-        if ``mu.cov`` has an eigenvalue at or below ``psd_clip``.
+        if ``mu.cov`` has an eigenvalue at or below ``psd_clip``, or its
+        Cholesky factorization fails.
     DimMismatch
         if the measures live on different spaces.
 
@@ -262,7 +300,7 @@ def exact_kl(
     negated; it is nonpositive, vanishing only for ``S = 0``.
     """
     data = _equivalent_data(nu, mu, data)
-    a = data.s_spectrum.eigenvalues
+    a = data.s_eigenvalues
     cov_term = -0.5 * float(np.sum(np.log1p(-a) + a))
     return 0.5 * float(data.delta @ data.delta) + cov_term
 
@@ -277,14 +315,16 @@ def exact_renyi(
     """Exact Renyi divergence of order ``r`` in (0, 1), normalized as
     ``-1/(r(1-r)) log integral (dnu)^r (dmu)^{1-r}``.
 
-    ``r = 1`` and ``r = 0`` redirect to ``exact_kl(nu, mu)`` and
-    ``exact_kl(mu, nu)``, the two limits of the family; ``data`` from another
-    pair raises ``ValueError`` at every order.
+    Orders that :mod:`~gaussdiv.logdet` routes to an endpoint limit (``r = 1``,
+    ``r = 0`` and the orders within ``ENDPOINT_MARGIN / 2`` of them) redirect to
+    ``exact_kl(nu, mu)`` and ``exact_kl(mu, nu)``, the two limits of the family;
+    ``data`` from another pair raises ``ValueError`` at every order.
     """
     r = _check_order(r)
-    if r == 1.0:
+    path = _endpoint_path(2.0 * r - 1.0)
+    if path is LogDetPath.LIMIT_POS1:
         return exact_kl(nu, mu, data=data)
-    if r == 0.0 and (data is None or (data.nu is nu and data.mu is mu)):
+    if path is LogDetPath.LIMIT_NEG1 and (data is None or (data.nu is nu and data.mu is mu)):
         return exact_kl(mu, nu)
     data = _equivalent_data(nu, mu, data)
     a = data.s_spectrum.eigenvalues
@@ -326,7 +366,7 @@ def log_radon_nikodym_batch(
 ) -> np.ndarray:
     """Vectorized ``log (dnu/dmu)`` over the rows of ``points`` (n x dim).
 
-    With ``x_t = Q^{-1/2}(x - m_mu)`` expressed in the eigenbasis of ``S``::
+    With ``x_t = L^{-1}(x - m_mu)`` expressed in the eigenbasis of ``S``::
 
         log rn(x) = -1/2 log det(I-S) - 1/2 <x_t, S(I-S)^{-1} x_t>
                     + <x_t, (I-S)^{-1} delta> - 1/2 <delta, (I-S)^{-1} delta>
@@ -337,12 +377,10 @@ def log_radon_nikodym_batch(
         raise DimMismatch(f"points have dim {points.shape[1]}, measures have dim {mu.dim}")
     if not np.all(np.isfinite(points)):
         raise NonFinite("points contain NaN or Inf")
-    w = data.base_inv_sqrt
     a = data.s_spectrum.eigenvalues
-    v = data.s_spectrum.eigenvectors
     one_minus = 1.0 - a
-    d_hat = v.T @ data.delta
-    x_hat = ((points - mu.mean) @ w) @ v
+    d_hat = data.s_spectrum.eigenvectors.T @ data.delta
+    x_hat = (points - mu.mean) @ data._rn_frame
     const = -0.5 * float(np.sum(np.log1p(-a))) - 0.5 * float(np.sum(d_hat * d_hat / one_minus))
     quad = -0.5 * (x_hat * x_hat) @ (a / one_minus)
     cross = x_hat @ (d_hat / one_minus)

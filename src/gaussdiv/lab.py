@@ -53,9 +53,11 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
 def standard_normal(seed: int, stream: int, shape) -> np.ndarray:
     """Standard normal variates via inverse CDF on open-interval 53-bit uniforms."""
     gen = _generator(seed, stream)
-    raw = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
-    u = (raw.astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    # In place: the n x dim matrices of a Monte-Carlo run set its peak memory.
+    u = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return ndtri(u, out=u)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +147,8 @@ def sample_gaussian(measure: GaussianMeasure, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be a positive integer")
     root = _spectral_sqrt(measure.spectrum)
-    z = standard_normal(seed, STREAM_SAMPLE, (int(n), measure.dim))
-    return measure.mean + z @ root.entries
+    samples = standard_normal(seed, STREAM_SAMPLE, (int(n), measure.dim)) @ root.entries
+    return np.add(samples, measure.mean, out=samples)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ determinant product property.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -325,11 +326,7 @@ def psd_inv_sqrt(T: TraceClassBlock) -> TraceClassBlock:
     Warns :class:`IllConditioned` when the condition number exceeds
     ``CONDITION_WARN``: the root still returns, but whitening by it is unreliable.
     """
-    return _spectral_inv_sqrt(sym_eigen(T))
-
-
-def _spectral_inv_sqrt(spec: Spectrum) -> TraceClassBlock:
-    """:func:`psd_inv_sqrt` of the matrix whose eigendecomposition is ``spec``."""
+    spec = sym_eigen(T)
     lam = spec.eigenvalues
     if lam.size and float(np.min(lam)) < -DEFAULT_TOL.psd_clip:
         raise NotPSD("matrix has a genuinely negative eigenvalue")
@@ -342,10 +339,18 @@ def _spectral_inv_sqrt(spec: Spectrum) -> TraceClassBlock:
 
 def _warn_ill_conditioned(lam: np.ndarray) -> None:
     """Warn :class:`IllConditioned` when the spectrum ``lam`` of a matrix about to be
-    inverted spans more than ``CONDITION_WARN``; a nonpositive minimum counts as beyond it."""
+    inverted spans more than ``CONDITION_WARN``; a nonpositive minimum counts as beyond it.
+    The warning points at the line that called into this package, so that under
+    Python's default filter each calling line warns once."""
     if float(np.max(lam)) > CONDITION_WARN * float(np.min(lam)):
+        # The outermost package frame's caller: cached properties interleave functools frames.
+        frame, level, stacklevel = sys._getframe(), 1, 2
+        while frame is not None:
+            if frame.f_globals.get("__name__", "").split(".")[0] == __package__:
+                stacklevel = level + 1
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "condition number exceeds 1e12; inverting the matrix is unreliable",
             IllConditioned,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )

@@ -33,18 +33,38 @@ class TestEquivalenceData:
         assert not data.singular
 
     def test_reconstruction(self):
-        # mu.cov^{1/2} (I - S) mu.cov^{1/2} recovers nu.cov.
+        # With the base's Cholesky factor, mu.cov = L L^T and L (I - S) L^T = nu.cov.
         rng = np.random.default_rng(42)
         for _ in range(20):
             dim = int(rng.integers(1, 10))
             nu = rand_measure(rng, dim)
             mu = rand_measure(rng, dim)
             data = gd.equivalence_data(nu, mu)
-            w, v = np.linalg.eigh(mu.cov.entries)
-            root = (v * np.sqrt(w)) @ v.T
-            recon = root @ (np.eye(dim) - data.s_block.entries) @ root
+            factor = data.base_factor
+            assert np.array_equal(factor, np.tril(factor))
+            assert_allclose(factor @ factor.T, mu.cov.entries, atol=1e-13)
+            recon = factor @ (np.eye(dim) - data.s_block.entries) @ factor.T
             err = np.linalg.norm(recon - nu.cov.entries)
             assert err <= 1e-8 * (1.0 + np.linalg.norm(nu.cov.entries))
+
+    def test_matches_symmetric_whitening(self):
+        # Any whitening of mu.cov gives S up to an orthogonal similarity and delta
+        # up to the same rotation: compare with mu.cov^{-1/2} nu.cov mu.cov^{-1/2}.
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            dim = int(rng.integers(1, 12))
+            nu = rand_measure(rng, dim)
+            mu = rand_measure(rng, dim)
+            w, v = np.linalg.eigh(mu.cov.entries)
+            inv_root = (v / np.sqrt(w)) @ v.T
+            s_sym = np.eye(dim) - inv_root @ nu.cov.entries @ inv_root
+            data = gd.equivalence_data(nu, mu)
+            assert_allclose(
+                data.s_eigenvalues, np.linalg.eigvalsh(0.5 * (s_sym + s_sym.T)), atol=1e-12
+            )
+            assert_allclose(np.sort(data.s_spectrum.eigenvalues), data.s_eigenvalues, atol=1e-12)
+            want = np.linalg.norm(inv_root @ (nu.mean - mu.mean))
+            assert abs(np.linalg.norm(data.delta) - want) <= 1e-12
 
     def test_singular_flag(self):
         nu = gd.GaussianMeasure([0.0, 0.0], np.diag([1e-15, 1.0]))
@@ -170,6 +190,15 @@ class TestExactRenyi:
         nu, mu = perturbed_pair(rng, 5)
         assert gd.exact_renyi(nu, mu, 1.0) == gd.exact_kl(nu, mu)
         assert gd.exact_renyi(nu, mu, 0.0) == gd.exact_kl(mu, nu)
+        # Orders inside the endpoint margin of alpha = 2r - 1 take the same limit,
+        # where dividing by r (1 - r) would cancel catastrophically.
+        near = gd.ENDPOINT_MARGIN / 4
+        for r, want in ((1.0 - near, gd.exact_kl(nu, mu)), (near, gd.exact_kl(mu, nu))):
+            assert gd.exact_renyi(nu, mu, r) == want
+            assert gd.exact_renyi(nu, mu, r, data=gd.GaussianPair(nu, mu)) == want
+            assert gd.exact_divergence(nu, mu, "renyi", r) == want
+            (record,) = gd.sweep_r(nu, mu, 0.0, [r])
+            assert record.exact == record.regularized == want
 
     def test_endpoint_continuity(self):
         rng = np.random.default_rng(5)
@@ -250,6 +279,21 @@ class TestLogRadonNikodym:
                 pts
             ) - scipy.stats.multivariate_normal(mu.mean, mu.cov.entries).logpdf(pts)
             assert_allclose(got, want, atol=1e-9, rtol=1e-9)
+
+    def test_matches_dense_log_density_difference(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            dim = int(rng.integers(1, 12))
+            nu, mu = perturbed_pair(rng, dim)
+            pts = mu.mean + rng.standard_normal((6, dim))
+
+            def log_density(m, points):
+                centered = points - m.mean
+                quad = np.einsum("ij,ji->i", centered, np.linalg.solve(m.cov.entries, centered.T))
+                return -0.5 * (quad + np.linalg.slogdet(m.cov.entries)[1])
+
+            want = log_density(nu, pts) - log_density(mu, pts)
+            assert_allclose(gd.log_radon_nikodym_batch(pts, nu, mu), want, atol=1e-10, rtol=0)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
@@ -348,6 +392,25 @@ class TestRegularized:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", gd.IllConditioned)
                 assert math.isfinite(gd.regularized_divergence(nu, base, kind, 1e-3, r))
+
+    def test_ill_conditioned_warning_points_at_the_calling_line(self):
+        # Under the default filter a warning shows once per source line, so
+        # two calling lines must give two warnings, each located in this file.
+        base = gd.GaussianMeasure([0.0, 0.0], np.diag([1.0, 0.0]))
+        ill = gd.GaussianMeasure([0.0, 0.0], np.diag([20.0, 1e-11]))
+        unit = gd.GaussianMeasure([0.0, 0.0], np.eye(2))
+        with warnings.catch_warnings(record=True) as regularized:
+            warnings.simplefilter("default")
+            gd.regularized_kl(unit, base, 1e-14)
+            gd.regularized_kl(unit, base, 1e-14)
+        with warnings.catch_warnings(record=True) as whitening:
+            warnings.simplefilter("default")
+            gd.exact_kl(unit, ill)
+            gd.exact_kl(unit, ill)
+        for caught in (regularized, whitening):
+            assert [w.category for w in caught] == [gd.IllConditioned] * 2
+            assert [w.filename for w in caught] == [__file__] * 2
+            assert caught[1].lineno == caught[0].lineno + 1
 
     def test_gamma_validation(self):
         with pytest.raises(gd.NotPositive):

@@ -106,7 +106,8 @@ class TestSampling:
         fresh = gd.gen_measure(family, seed=4)
         base = gd.gen_measure(family, seed=4)
         nu = gd.gen_measure(gd.SpectrumFamily.power_law(6, 2.2), seed=4)
-        gd.exact_kl(nu, base)  # the pair's whitening fills base.spectrum
+        gd.regularized_kl(nu, base, 1e-3)  # the regularized KL fills base.spectrum
+        assert base._spectrum is not None
         z = gd.standard_normal(8, STREAM_SAMPLE, (40, 6))
         want = fresh.mean + z @ gd.psd_sqrt(fresh.cov).entries
         assert np.array_equal(gd.sample_gaussian(fresh, 40, seed=8), want)

@@ -312,27 +312,33 @@ def exact_renyi(
     *,
     data: GaussianPair | None = None,
 ) -> float:
-    """Exact Renyi divergence of order ``r`` in (0, 1), normalized as
+    """Exact Renyi divergence of order ``r`` in [0, 1], normalized as
     ``-1/(r(1-r)) log integral (dnu)^r (dmu)^{1-r}``.
 
-    Orders that :mod:`~gaussdiv.logdet` routes to an endpoint limit (``r = 1``,
-    ``r = 0`` and the orders within ``ENDPOINT_MARGIN / 2`` of them) redirect to
-    ``exact_kl(nu, mu)`` and ``exact_kl(mu, nu)``, the two limits of the family;
-    ``data`` from another pair raises ``ValueError`` at every order.
+    ``r = 1`` and ``r = 0`` are the two KLs, ``exact_kl(nu, mu)`` and
+    ``exact_kl(mu, nu)``; every order in between is the closed form in the
+    spectrum ``a`` of ``S``.  Below ``r = 1/2`` its covariance part is written
+    as ``r log(1-a) + log1p(r x)``, ``x = a / (1-a)``, with ``r`` divided out
+    before summing, so no order cancels.  Every order first checks the pair
+    itself: ``data`` from another pair raises ``ValueError``.
     """
     r = _check_order(r)
-    path = _endpoint_path(2.0 * r - 1.0)
-    if path is LogDetPath.LIMIT_POS1:
+    if r == 1.0:
         return exact_kl(nu, mu, data=data)
-    if path is LogDetPath.LIMIT_NEG1 and (data is None or (data.nu is nu and data.mu is mu)):
-        return exact_kl(mu, nu)
     data = _equivalent_data(nu, mu, data)
+    if r == 0.0:
+        return exact_kl(mu, nu)
     a = data.s_spectrum.eigenvalues
     weights = 1.0 - (1.0 - r) * a
     if weights.size and float(np.min(weights)) <= DEFAULT_TOL.singular_margin:
         raise NotPositive("I - (1-r) S is not positive definite")
     d_hat = data.s_spectrum.eigenvectors.T @ data.delta
     mean_term = 0.5 * float(np.sum(d_hat * d_hat / weights))
+    if r < 0.5:
+        x = a / (1.0 - a)
+        y = r * x  # log1p(y) / y (1 at y = 0) keeps every digit of x where y is subnormal
+        phi = np.divide(np.log1p(y), y, out=np.ones_like(y), where=y != 0.0)
+        return mean_term + float(np.sum(np.log1p(-a) + x * phi)) / (2.0 * (1.0 - r))
     cov_term = float(np.sum((r - 1.0) * np.log1p(-a) + np.log1p(-(1.0 - r) * a)))
     return mean_term + cov_term / (2.0 * r * (1.0 - r))
 

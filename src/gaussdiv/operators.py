@@ -247,7 +247,7 @@ def carleman_logdet2(T: TraceClassBlock) -> float:
     passing ``T = -S`` yields ``sum_k [log(1-alpha_k) + alpha_k]``, the
     covariance part of the exact KL divergence.
     """
-    tau = sym_eigen(T).eigenvalues
+    tau = _general_eigvals(T.entries)
     if tau.size and np.min(1.0 + tau) <= DEFAULT_TOL.singular_margin:
         raise NotPositive("I + T is not positive definite")
     return float(np.sum(np.log1p(tau) - tau))
@@ -285,12 +285,14 @@ def shifted_inv(op: ShiftedOperator) -> ShiftedOperator:
     c = op.shift
     if c <= 0:
         raise NotPositive("inverse requires a strictly positive shift")
-    tau = _general_eigvals(op.block)
+    # A symmetric block is factored once: the test reads the eigenvalues of the inverse's eigh.
+    spec = sym_eigen(TraceClassBlock(op.block)) if _is_symmetric(op.block) else None
+    tau = _general_eigvals(op.block) if spec is None else spec.eigenvalues
     if tau.size and np.min(1.0 + tau / c) <= DEFAULT_TOL.singular_margin:
         raise NotPositive("shifted operator is not positive definite")
-    if _is_symmetric(op.block):
-        w, v = np.linalg.eigh(0.5 * (op.block + op.block.T))
-        inv_block = (v * (1.0 / (w + c) - 1.0 / c)) @ v.T
+    if spec is not None:
+        v = spec.eigenvectors
+        inv_block = (v * (1.0 / (tau + c) - 1.0 / c)) @ v.T
         inv_block = 0.5 * (inv_block + inv_block.T)
     else:
         dim = op.dim

@@ -3,9 +3,12 @@
 The divergence formulas below are written directly against dense matrices
 with numpy's ``solve``/``slogdet``, never through the package's whitened
 spectral path, so agreement between the two routes is a genuine cross-check
-rather than the same arithmetic twice.
+rather than the same arithmetic twice.  The one exception,
+:func:`exact_renyi_reference`, follows the whitened path in high-precision
+``mpmath`` arithmetic, so it measures the package's float64 rounding error.
 """
 
+import mpmath
 import numpy as np
 
 from gaussdiv import GaussianMeasure, ShiftedOperator
@@ -117,3 +120,28 @@ def dense_alpha_logdet(alpha, x_mat, y_mat):
     ld_x = np.linalg.slogdet(x_mat)[1]
     ld_y = np.linalg.slogdet(y_mat)[1]
     return float(4.0 / (1.0 - alpha * alpha) * (ld_combo - wx * ld_x - wy * ld_y))
+
+
+def exact_renyi_reference(nu, mu, orders, dps=60):
+    """Order -> exact Renyi at each order in (0, 1), from the whitened spectrum in ``mpmath``.
+
+    The inputs are taken at their exact binary values; ``C_mu = L L^T`` by
+    Cholesky, ``S = I - L^{-1} C_nu L^{-T}`` by ``eigsy``.  The covariance part
+    is written as ``r log(1-a) + log1p(r a/(1-a))``, free of cancellation: the
+    naive ``(r-1) log(1-a) + log(1-(1-r) a)`` at 50 digits is itself wrong below
+    about ``r = 1e-40``.
+    """
+    with mpmath.workdps(dps):
+        n = nu.dim
+        l_inv = mpmath.inverse(mpmath.cholesky(mpmath.matrix(mu.cov.entries.tolist())))
+        s = mpmath.eye(n) - l_inv * mpmath.matrix(nu.cov.entries.tolist()) * l_inv.T
+        a, v = mpmath.eigsy(0.5 * (s + s.T))
+        d_hat = v.T * (l_inv * (mpmath.matrix(nu.mean.tolist()) - mpmath.matrix(mu.mean.tolist())))
+        refs = {}
+        for r in orders:
+            r = mpmath.mpf(r)
+            mean = sum(d_hat[k] ** 2 / (1 - (1 - r) * a[k]) for k in range(n)) / 2
+            cov = sum(r * mpmath.log(1 - a[k]) + mpmath.log1p(r * a[k] / (1 - a[k]))
+                      for k in range(n)) / (2 * r * (1 - r))
+            refs[float(r)] = mean + cov
+        return refs

@@ -116,6 +116,23 @@ class TestDiv:
         assert capsys.readouterr().out.strip() == "inf"
         assert not out.exists()
 
+    @pytest.mark.parametrize("nu_values, mu_values, code, out", [
+        ("1,1,1e-16", "1,1,1", 3, "inf\n"),  # a degenerate first measure: singular pair
+        ("1,1,1", "1,1e-13,2", 2, ""),  # a base at the clip threshold: degenerate
+    ], ids=["degenerate nu", "base at the clip threshold"])
+    def test_order_next_to_zero_reports_like_every_order(
+        self, tmp_path, capsys, nu_values, mu_values, code, out
+    ):
+        paths = [str(tmp_path / "nu.json"), str(tmp_path / "mu.json")]
+        for values, seed, path in zip((nu_values, mu_values), ("5", "6"), paths):
+            assert main(["gen", "--family", "explicit", "--values", values,
+                         "--seed", seed, "--out", path]) == 0
+        capsys.readouterr()
+        for r in ("1e-13", "0.5"):
+            assert main(["div", "--kind", "renyi", "--r", r, "--exact",
+                         "--nu", paths[0], "--mu", paths[1]]) == code
+            assert capsys.readouterr().out == out
+
     def test_singular_pair_regularized_is_finite(self, singular_files, capsys):
         nu_path, mu_path = singular_files
         assert main(["div", "--kind", "kl", "--gamma", "1e-3",

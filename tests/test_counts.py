@@ -8,7 +8,7 @@ eigenvalues of the whitened perturbation; only the orders inside (0, 1) and
 the log density ratio need its eigenvectors.  The regularized KL reads the
 base's eigendecomposition, which one pair object keeps for a whole sweep;
 the other regularized orders take Cholesky factors at each gamma.  No row
-makes a dense solve.
+makes a dense solve.  In the operator calculus each block is factored once.
 """
 
 import json
@@ -124,3 +124,17 @@ def test_gamma_sweep_eigendecompositions_do_not_grow_with_the_grid(kind, paths, 
         name: 5 * n for name, n in per_point.items()
     }
     assert "solve" not in counts[0]
+
+
+def test_operator_calculus_factors_each_block_once(calls):
+    # The positivity test of the inverse reads the eigenvalues of the eigh that
+    # builds it, and the Carleman determinant needs eigenvalues only.
+    rng = np.random.default_rng(5)
+    half = rng.standard_normal((DIM, DIM))
+    block = half @ half.T / DIM
+    calls.clear()
+    gd.shifted_inv(gd.ShiftedOperator(gd.TraceClassBlock(block), 0.5))
+    assert dict(calls) == {"eigh": 1}
+    calls.clear()
+    gd.carleman_logdet2(gd.TraceClassBlock(block))
+    assert dict(calls) == {"eigvalsh": 1}

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 import gaussdiv as gd
 from oracles import (
     bhatt_closed,
+    exact_renyi_reference,
     hellinger_closed,
     kl_closed,
     perturbed_pair,
@@ -190,15 +191,17 @@ class TestExactRenyi:
         nu, mu = perturbed_pair(rng, 5)
         assert gd.exact_renyi(nu, mu, 1.0) == gd.exact_kl(nu, mu)
         assert gd.exact_renyi(nu, mu, 0.0) == gd.exact_kl(mu, nu)
-        # Orders inside the endpoint margin of alpha = 2r - 1 take the same limit,
-        # where dividing by r (1 - r) would cancel catastrophically.
+        # Orders next to the endpoints take the closed form, not the limit, and
+        # every route to them gives the same value.
         near = gd.ENDPOINT_MARGIN / 4
-        for r, want in ((1.0 - near, gd.exact_kl(nu, mu)), (near, gd.exact_kl(mu, nu))):
-            assert gd.exact_renyi(nu, mu, r) == want
-            assert gd.exact_renyi(nu, mu, r, data=gd.GaussianPair(nu, mu)) == want
-            assert gd.exact_divergence(nu, mu, "renyi", r) == want
+        refs = exact_renyi_reference(nu, mu, (near, 1.0 - near))
+        for r in (1.0 - near, near):
+            value = gd.exact_renyi(nu, mu, r)
+            assert value == pytest.approx(float(refs[r]), rel=1e-13)
+            assert gd.exact_renyi(nu, mu, r, data=gd.GaussianPair(nu, mu)) == value
+            assert gd.exact_divergence(nu, mu, "renyi", r) == value
             (record,) = gd.sweep_r(nu, mu, 0.0, [r])
-            assert record.exact == record.regularized == want
+            assert record.exact == record.regularized == value
 
     def test_endpoint_continuity(self):
         rng = np.random.default_rng(5)
@@ -422,6 +425,17 @@ class TestRegularized:
 
 
 class TestSingularAndDegenerate:
+    @pytest.mark.parametrize("nu_values, mu_values, error", [
+        ((1.0, 1.0, 1e-16), (1.0, 1.0, 1.0), gd.SingularPair),
+        ((1.0, 1.0, 1.0), (1.0, 1e-13, 2.0), gd.Degenerate),
+    ], ids=["degenerate nu", "base at the clip threshold"])
+    def test_one_typed_outcome_at_every_order(self, nu_values, mu_values, error):
+        nu = gd.gen_measure(gd.SpectrumFamily.explicit(nu_values), 5)
+        mu = gd.gen_measure(gd.SpectrumFamily.explicit(mu_values), 6)
+        for r in (0.0, 5e-324, 1e-13, 0.5, 1.0 - 1e-13, 1.0):
+            with pytest.raises(error):
+                gd.exact_renyi(nu, mu, r)
+
     def test_exact_divergences_raise_on_singular_pair(self):
         nu = gd.GaussianMeasure([0.0, 0.0], np.diag([1e-15, 1.0]))
         mu = gd.GaussianMeasure([0.0, 0.0], np.eye(2))

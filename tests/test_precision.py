@@ -1,16 +1,19 @@
-"""Regularized divergences against 50-digit mpmath references.
+"""Regularized and exact divergences against high-precision mpmath references.
 
 The references start from the exact binary values of the float64 inputs, so
 they measure the error of the computation alone.  Two groups of pairs:
 
-* well-conditioned pairs, where KL and Renyi must be accurate to relative 1e-9
-  at every gamma down to 1e-12;
+* well-conditioned pairs, where the regularized KL and Renyi must be accurate
+  to relative 1e-9 at every gamma down to 1e-12, and the exact Renyi to 1e-13
+  at orders down to the smallest subnormal and up to ``1 - 2**-53``;
 * hard pairs (a base of condition number 1e8, and covariances that are
   rank-deficient on both sides), where any float64 route loses accuracy in
   proportion to ``eps * kappa``, with ``kappa`` the largest condition number of
   the shifted covariances.  Each value must stay within that bound (or 1e-9),
   and over each family the cached path must be as accurate as the dense-solve
-  route it replaced: the median ratio of their errors is at most 2.
+  route it replaced: the median ratio of their errors is at most 2.  The exact
+  Renyi is checked on the condition-1e8 family alone, the one whose pairs are
+  equivalent.
 
 Pair by pair, each of two backward-stable routes comes out ahead on a good
 share of the pairs at the conditioning limit, so the comparison takes the
@@ -26,11 +29,15 @@ import numpy as np
 import pytest
 
 import gaussdiv as gd
-from oracles import rand_measure, rand_orthogonal
+from oracles import exact_renyi_reference, rand_measure, rand_orthogonal
 
 GAMMAS = (1e-2, 1e-6, 1e-10, 1e-12)
 ORDERS = (1.0, 0.25, 0.5, 0.75)  # order 1 is the KL divergence
 EPS = float(np.finfo(float).eps)
+# Exact orders at both ends of (0, 1), where dividing by r (1 - r) invites cancellation.
+EXACT_ORDERS = (5e-324, 1e-300, 1e-13, 1e-11, 1e-9, 1e-7, 1e-5) + tuple(
+    1.0 - e for e in (1e-5, 1e-7, 1e-9, 1e-11, 1e-13, 2.0**-53)
+)
 
 
 def _references(nu, mu, gamma):
@@ -161,3 +168,27 @@ def test_hard_pairs_as_accurate_as_the_dense_solve_route(family, orders, hard_er
     ]
     assert np.median(ratios) <= 2.0
 
+
+@pytest.fixture(scope="module")
+def exact_references():
+    """Family -> one ``{order: exact Renyi}`` reference per pair, at 60 digits."""
+    families = {"well-conditioned": WELL, "condition 1e8 base": HARD["condition 1e8 base"]}
+    return {
+        family: [exact_renyi_reference(nu, mu, EXACT_ORDERS) for nu, mu in pairs]
+        for family, pairs in families.items()
+    }
+
+
+@pytest.mark.parametrize("r", EXACT_ORDERS)
+def test_exact_renyi_well_conditioned_to_1e13(r, exact_references):
+    for (nu, mu), refs in zip(WELL, exact_references["well-conditioned"]):
+        assert _rel_err(gd.exact_renyi(nu, mu, r), refs[r]) <= 1e-13
+
+
+@pytest.mark.parametrize("r", EXACT_ORDERS)
+def test_exact_renyi_condition_1e8_within_the_bound(r, exact_references):
+    pairs = HARD["condition 1e8 base"]
+    for (nu, mu), refs in zip(pairs, exact_references["condition 1e8 base"]):
+        bound = max(1e-9, EPS * _condition(nu, mu, r, 0.0))
+        err = _rel_err(gd.exact_renyi(nu, mu, r), refs[r])
+        assert err <= bound, (err, bound)

@@ -11,12 +11,15 @@ location, which moves with the code) and the bytes of every file the call
 wrote.  Two commits agree on the whole CLI contract when the outputs of their
 batteries are byte-identical (``cmp``).
 
-The calls: ``gen`` for every measure; ``div`` for every kind (Renyi at orders
+The calls: ``gen`` for every measure (``zero``, with a zero eigenvalue, is
+rejected); ``div`` for every kind (Renyi at orders
 1e-13, 0.3, 0.9 and 1 - 1e-13), exact and at gamma 1e-2, 1e-6, 1e-10, 1e-14, 0
 and nan; ``sweep-gamma`` for every kind; ``sweep-r`` exact and at gamma 1e-3,
 1e-8 and 1e-14.  They run over random pairs of dims 3 to 40 in both
-directions, plus a mutually singular pair, a pair with a degenerate base and
-an ill-conditioned pair whose regularized values warn ``IllConditioned``.
+directions, plus a mutually singular pair, a pair with a degenerate base
+(``flat``: an eigenvalue of 1e-13, below the clip threshold, so its exact
+values report ``Degenerate`` and its regularized ones stay finite) and an
+ill-conditioned pair whose regularized values warn ``IllConditioned``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ MEASURES = {
                    "--rate", "0.4", "--mean-scale", "0.2"] for dim in (3, 8, 20, 40)},
     "thin": ["--family", "explicit", "--values", "1,1,1e-16", "--seed", "5"],
     "unit": ["--family", "explicit", "--values", "1,1,1", "--seed", "6"],
-    "flat": ["--family", "explicit", "--values", "1,0,2", "--seed", "7"],
+    "flat": ["--family", "explicit", "--values", "1,1e-13,2", "--seed", "7"],
+    "zero": ["--family", "explicit", "--values", "1,0,2", "--seed", "7"],
     "stiff": ["--family", "explicit", "--values", "1,1e-3,1e-9,1e-13", "--seed", "8",
               "--mean-scale", "0.1"],
     "soft": ["--family", "explicit", "--values", "2,1e-2,1e-8,1e-12", "--seed", "9",

@@ -13,7 +13,7 @@ import scipy.linalg
 
 from .errors import DimMismatch, NonFinite, NotPositive
 from .gaussian import GaussianMeasure
-from .operators import DEFAULT_TOL, TraceClassBlock
+from .operators import DEFAULT_TOL, TraceClassBlock, _shifted_cholesky
 
 
 class LinearGaussianModel:
@@ -82,22 +82,19 @@ class LinearGaussianModel:
 
 
 def _update(model: LinearGaussianModel):
-    """Posterior measure and the Cholesky factor of ``Gamma + A C0 A^T`` it was solved with,
-    computed on first use and kept by the model: :func:`posterior` and
+    """Posterior measure and ``log det(Gamma + A C0 A^T)``, both from one Cholesky factor of
+    that matrix, computed on first use and kept by the model: :func:`posterior` and
     :func:`kl_posterior_prior` share one observation-space factorization."""
     if model._solved is not None:
         return model._solved
     a = model.forward
     ac0 = a @ model.prior.cov.entries
     k = model.noise_cov.entries + ac0 @ a.T
-    try:
-        factor = scipy.linalg.cho_factor(0.5 * (k + k.T), lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositive("observation-space system matrix is not positive definite") from exc
+    factor, logdet_k = _shifted_cholesky(0.5 * (k + k.T), 0.0)
     innovation = model.observation - a @ model.prior.mean
-    mean = model.prior.mean + ac0.T @ scipy.linalg.cho_solve(factor, innovation)
-    cov = model.prior.cov.entries - ac0.T @ scipy.linalg.cho_solve(factor, ac0)
-    model._solved = GaussianMeasure(mean, TraceClassBlock(0.5 * (cov + cov.T))), factor
+    mean = model.prior.mean + ac0.T @ scipy.linalg.cho_solve((factor, True), innovation)
+    cov = model.prior.cov.entries - ac0.T @ scipy.linalg.cho_solve((factor, True), ac0)
+    model._solved = GaussianMeasure(mean, TraceClassBlock(0.5 * (cov + cov.T))), logdet_k
     return model._solved
 
 
@@ -120,16 +117,11 @@ def kl_posterior_prior(model: LinearGaussianModel) -> float:
     collapse to ``log det(I + A C0 A^T)``.  Agrees with the whitened-spectrum
     KL of the posterior against the prior.
     """
-    post, factor = _update(model)
+    post, logdet_k = _update(model)
     a = model.forward
-    logdet_k = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    try:
-        gamma_factor = scipy.linalg.cho_factor(model.noise_cov.entries, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositive("noise covariance is not positive definite") from exc
-    logdet_gamma = 2.0 * float(np.sum(np.log(np.diag(gamma_factor[0]))))
+    gamma_factor, logdet_gamma = _shifted_cholesky(model.noise_cov.entries, 0.0)
     acat = a @ post.cov.entries @ a.T
-    trace_term = float(np.trace(scipy.linalg.cho_solve(gamma_factor, acat)))
+    trace_term = float(np.trace(scipy.linalg.cho_solve((gamma_factor, True), acat)))
     residual = a @ post.mean - model.observation
-    mean_term = float((post.mean - model.prior.mean) @ (a.T @ scipy.linalg.cho_solve(gamma_factor, residual)))
+    mean_term = float((post.mean - model.prior.mean) @ (a.T @ scipy.linalg.cho_solve((gamma_factor, True), residual)))
     return 0.5 * (logdet_k - logdet_gamma - trace_term - mean_term)

@@ -34,6 +34,7 @@ from .operators import (
     DEFAULT_TOL,
     Spectrum,
     TraceClassBlock,
+    _shifted_cholesky,
     _shifted_logdet,
     _warn_ill_conditioned,
     sym_eigen,
@@ -225,17 +226,6 @@ class GaussianPair:
         """:func:`regularized_divergence` of the pair."""
         order, transform = _kind_order(kind, r)
         return transform(self.regularized_renyi(order, gamma))
-
-
-def _shifted_cholesky(matrix: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
-    """Cholesky factor of ``matrix + gamma I`` (its lower triangle) and its log-determinant."""
-    shifted = matrix.copy()
-    shifted.flat[:: shifted.shape[0] + 1] += gamma
-    try:
-        factor = scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True)[0]
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositive("shifted operator is not positive definite") from exc
-    return factor, 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
 def equivalence_data(nu: GaussianMeasure, mu: GaussianMeasure) -> GaussianPair:

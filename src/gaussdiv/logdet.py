@@ -17,11 +17,7 @@ familiar finite-dimensional log-det divergence.
 
 At the endpoints the 1/(1-alpha^2) pole forces separate limit formulas.  The
 private helpers below hold the arithmetic on the log-determinants, shared with
-:class:`~gaussdiv.gaussian.GaussianPair`.  :func:`alpha_logdet` evaluates the
-limits' trace term by a dense solve on the finite carrier with the tail count
-corrected afterwards: assembling the split inverse (1/shift tail plus finite
-correction) and multiplying through cancels catastrophically when the shift is
-tiny.
+:class:`~gaussdiv.gaussian.GaussianPair`.
 """
 
 from __future__ import annotations
@@ -31,9 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimMismatch, NotPositive
-from .operators import ShiftedOperator, ext_fredholm_logdet, shifted_combine
+from .operators import ShiftedOperator, _is_symmetric, _shifted_cholesky, shifted_combine
 
 # Inside this margin of +-1 the general formula is numerically meaningless;
 # route to the closed-form limits instead.
@@ -91,16 +88,19 @@ def _kl_limit(
 def alpha_logdet(alpha: float, x: ShiftedOperator, y: ShiftedOperator) -> LogDetResult:
     """Alpha log-determinant divergence ``d^alpha(x, y)`` for ``alpha`` in [-1, 1].
 
-    ``|alpha| >= 1 - 1e-12`` dispatches to the endpoint limit formulas; equal
-    shifts take the simplified equal-shift form (same value as the general
-    path, without the shift-ratio correction).  The value of a divergence is
-    nonnegative up to rounding; this function reports what it computes and
-    never clamps.
+    ``x`` and ``y`` are self-adjoint (symmetric blocks), each factored once by Cholesky,
+    as is their combination at interior orders.  ``|alpha| >= 1 - 1e-12`` dispatches
+    to the endpoint limit formulas, whose trace solves with ``y``'s factor; equal
+    shifts take the simplified equal-shift form (same value as the general path,
+    without the shift-ratio correction).  The value of a divergence is nonnegative
+    up to rounding; this function reports what it computes and never clamps.
 
     Raises
     ------
+    ValueError
+        if a block is not symmetric.
     NotPositive
-        if either operator fails positivity (shift or block spectrum).
+        if a shift is not strictly positive or a Cholesky factorization fails.
     DimMismatch
         if the operators live on different carriers.
     """
@@ -111,25 +111,30 @@ def alpha_logdet(alpha: float, x: ShiftedOperator, y: ShiftedOperator) -> LogDet
         raise DimMismatch(f"operator dims differ: {x.dim} vs {y.dim}")
     if x.shift <= 0 or y.shift <= 0:
         raise NotPositive("alpha_logdet requires strictly positive shifts")
+    if not (_is_symmetric(x.block) and _is_symmetric(y.block)):
+        raise ValueError("alpha_logdet takes self-adjoint operators; a block is not symmetric")
 
     path = _endpoint_path(alpha)
     if path is LogDetPath.LIMIT_NEG1:
         # The alpha = -1 limit is the mirror image of alpha = +1 with the
         # roles of the operators (and their shifts) exchanged.
         x, y = y, x
-    ld_x = ext_fredholm_logdet(x)
-    ld_y = ext_fredholm_logdet(y)
+    # Plain log-determinants on the carrier: the extended ones subtract
+    # (dim - 1) log shift, which cancels between equal shifts in both formulas.
+    tail = 0.0 if x.shift == y.shift else x.dim - 1.0
+    ld_x = _shifted_cholesky(x.block, x.shift)[1] - tail * math.log(x.shift)
+    factor_y, ld_y = _shifted_cholesky(y.block, y.shift)
+    ld_y -= tail * math.log(y.shift)
     if path is not None:
-        # Extended trace of y^{-1}x - I, once the logdets validated positivity: dense
-        # trace on the carrier, the identity tail (ratio per dimension) counted once.
-        eye = np.eye(x.dim)
-        finite = np.trace(np.linalg.solve(y.block + y.shift * eye, x.block + x.shift * eye))
+        # tr_X[y^{-1}x - I]: the carrier's trace, the tail (ratio per dimension) counted once.
+        finite = np.trace(scipy.linalg.cho_solve((factor_y, True), x.block + x.shift * np.eye(x.dim)))
         trace = float(finite) - (x.dim - 1) * (x.shift / y.shift) - 1.0
         return _kl_limit(alpha, path, ld_x, ld_y, trace, x.shift, y.shift)
 
     w_x = 0.5 * (1.0 - alpha)
     w_y = 0.5 * (1.0 + alpha)
-    ld_combo = ext_fredholm_logdet(shifted_combine([(w_x, x), (w_y, y)]))
+    combo = shifted_combine([(w_x, x), (w_y, y)])
+    ld_combo = _shifted_cholesky(combo.block, combo.shift)[1] - tail * math.log(combo.shift)
     return _interior(alpha, w_x, w_y, ld_combo, ld_x, ld_y, x.shift, y.shift)
 
 

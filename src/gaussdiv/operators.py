@@ -187,16 +187,8 @@ def sym_eigen(T: TraceClassBlock) -> Spectrum:
 
 
 def _general_eigvals(block: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a square block; symmetric fast path, else general eig.
-
-    Nonsymmetric blocks arise as products of symmetric positive operators and
-    have real spectra; a genuinely complex spectrum is an input error.
-    """
-    if _is_symmetric(block):
-        try:
-            return np.linalg.eigvalsh(0.5 * (block + block.T))
-        except np.linalg.LinAlgError as exc:
-            raise EigFailure(str(exc)) from exc
+    """Real eigenvalues, ascending, of a nonsymmetric block by general ``eig``: products of
+    symmetric positive operators have real spectra, so a complex one is an input error."""
     try:
         w = scipy.linalg.eigvals(block)
     except Exception as exc:
@@ -217,19 +209,37 @@ def ext_fredholm_logdet(op: ShiftedOperator) -> float:
     For ``block + c*I`` with eigenvalues ``tau_k`` of the block this is
     ``log c + sum_k log(1 + tau_k / c)``: the determinant ``c * det(block/c + I)``
     evaluated in the log domain.  Exact for finite-rank blocks because the
-    tail factor of ``det(block/c + I)`` is 1.
+    tail factor of ``det(block/c + I)`` is 1.  A symmetric block takes it from a
+    Cholesky factor as ``log det(block + c I) - (dim - 1) log c``; a nonsymmetric
+    one, a :func:`shifted_mul` product, from its eigenvalues.
 
     Raises
     ------
     NotShifted
         if ``shift <= 0``.
     NotPositive
-        if any ``1 + tau_k / c`` falls at or below ``singular_margin``.
+        if the Cholesky factorization of a symmetric ``block + c I`` fails, or if
+        any ``1 + tau_k / c`` of a nonsymmetric block is at or below ``singular_margin``.
     """
     c = op.shift
     if c <= 0:
         raise NotShifted("extended determinant requires a strictly positive shift")
+    if _is_symmetric(op.block):
+        return _shifted_cholesky(op.block, c)[1] - (op.dim - 1) * float(np.log(c))
     return _shifted_logdet(_general_eigvals(op.block), c)
+
+
+def _shifted_cholesky(matrix: np.ndarray, shift: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``matrix + shift I`` (only the lower triangle of ``matrix`` is
+    read) and its log-determinant.  The package's one positivity rule for symmetric
+    operators: :class:`NotPositive` exactly when the factorization fails."""
+    shifted = matrix.copy()
+    shifted.flat[:: shifted.shape[0] + 1] += shift
+    try:
+        factor = scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True)[0]
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositive("shifted operator is not positive definite") from exc
+    return factor, 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
 def _shifted_logdet(tau: np.ndarray, c: float) -> float:
@@ -247,7 +257,10 @@ def carleman_logdet2(T: TraceClassBlock) -> float:
     passing ``T = -S`` yields ``sum_k [log(1-alpha_k) + alpha_k]``, the
     covariance part of the exact KL divergence.
     """
-    tau = _general_eigvals(T.entries)
+    try:
+        tau = np.linalg.eigvalsh(T.entries)
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(str(exc)) from exc
     if tau.size and np.min(1.0 + tau) <= DEFAULT_TOL.singular_margin:
         raise NotPositive("I + T is not positive definite")
     return float(np.sum(np.log1p(tau) - tau))

@@ -8,7 +8,11 @@ eigenvalues of the whitened perturbation; only the orders inside (0, 1) and
 the log density ratio need its eigenvectors.  The regularized KL reads the
 base's eigendecomposition, which one pair object keeps for a whole sweep;
 the other regularized orders take Cholesky factors at each gamma.  No row
-makes a dense solve.  In the operator calculus each block is factored once.
+makes a dense solve.  In the operator calculus each block is factored once:
+``alpha_logdet`` takes one Cholesky factor of each operator and, at interior
+orders, of their combination; at the endpoints its trace is a solve with the
+second operator's factor.  The inverse and the Carleman determinant read
+eigenvalues.
 """
 
 import json
@@ -138,3 +142,25 @@ def test_operator_calculus_factors_each_block_once(calls):
     calls.clear()
     gd.carleman_logdet2(gd.TraceClassBlock(block))
     assert dict(calls) == {"eigvalsh": 1}
+
+
+@pytest.mark.parametrize("alpha, want", [
+    (0.3, {"cho_factor": 3}),
+    (1.0, {"cho_factor": 2, "cho_solve": 1}),
+    (-1.0, {"cho_factor": 2, "cho_solve": 1}),
+], ids=["interior", "limit +1", "limit -1"])
+def test_alpha_logdet_factors_each_operator_once(alpha, want, calls):
+    rng = np.random.default_rng(6)
+    x, y = (gd.ShiftedOperator(gd.TraceClassBlock(h @ h.T / DIM), 0.5)
+            for h in rng.standard_normal((2, DIM, DIM)))
+    calls.clear()
+    gd.alpha_logdet(alpha, x, y)
+    assert dict(calls) == want
+
+
+def test_symmetric_fredholm_logdet_is_one_cholesky_factor(calls):
+    rng = np.random.default_rng(7)
+    half = rng.standard_normal((DIM, DIM))
+    calls.clear()
+    gd.ext_fredholm_logdet(gd.ShiftedOperator(gd.TraceClassBlock(half @ half.T / DIM), 0.5))
+    assert dict(calls) == {"cho_factor": 1}

@@ -179,3 +179,18 @@ class TestValidation:
         bad = gd.ShiftedOperator(np.diag([-2.0]), 1.0)
         with pytest.raises(gd.NotPositive):
             gd.alpha_logdet(0.0, bad, gd.shifted_identity(1))
+
+    def test_rejects_nonsymmetric_blocks(self):
+        # alpha_logdet takes self-adjoint operators; the product of two noncommuting
+        # ones is not, though its extended determinant still factors.
+        x = gd.ShiftedOperator(np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                                         [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.1]]), 1.0)
+        y = gd.ShiftedOperator(np.diag([0.3, 2.0, 1.0, 0.0]), 0.5)
+        product = gd.shifted_mul(x, y)
+        rhs = gd.ext_fredholm_logdet(x) + gd.ext_fredholm_logdet(y)
+        assert gd.ext_fredholm_logdet(product) == pytest.approx(rhs, rel=1e-12)
+        for alpha in (-1.0, 0.0, 0.4, 1.0):
+            with pytest.raises(ValueError, match="self-adjoint"):
+                gd.alpha_logdet(alpha, product, x)
+            with pytest.raises(ValueError, match="self-adjoint"):
+                gd.alpha_logdet(alpha, x, product)

@@ -121,6 +121,11 @@ class TestFredholmLogdet:
         with pytest.raises(gd.NotPositive):
             gd.ext_fredholm_logdet(gd.ShiftedOperator(np.diag([-1.0, 0.0]), 1.0))
 
+    def test_symmetric_positivity_is_the_cholesky_factorization(self):
+        # Within singular_margin of the boundary the factorization still succeeds, so the value returns.
+        op = gd.ShiftedOperator(np.diag([-1.0 + 1e-11, 0.0]), 1.0)
+        assert gd.ext_fredholm_logdet(op) == pytest.approx(math.log(1e-11), rel=1e-4)
+
 
 class TestCarleman:
     def test_scalar(self):

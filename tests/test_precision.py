@@ -15,6 +15,13 @@ they measure the error of the computation alone.  Two groups of pairs:
   Renyi is checked on the condition-1e8 family alone, the one whose pairs are
   equivalent.
 
+The dense-solve route is frozen in this file, eigenvalue log-determinants and
+all, so it stays a fixed yardstick while ``alpha_logdet`` changes.  On every
+family, ``alpha_logdet`` of the shifted covariances, with the quadratic form
+added back, must stay within the same bound, be no less accurate than the
+frozen route at the interior orders (median ratio at most 1) and stay within a
+factor 2 of it at the KL endpoint.
+
 Pair by pair, each of two backward-stable routes comes out ahead on a good
 share of the pairs at the conditioning limit, so the comparison takes the
 median over a family's pairs and its three smallest gammas rather than a
@@ -66,15 +73,33 @@ def _rel_err(value, ref) -> float:
         return float(abs(mpmath.mpf(value) - ref) / abs(ref))
 
 
-def _dense_solve_route(nu, mu, r, gamma):
-    """The route the cached spectra replaced: a dense solve for the quadratic
-    form, ``alpha_logdet`` of the shifted covariances for the rest."""
-    eye = np.eye(nu.dim)
-    blend = (1.0 - r) * nu.cov.entries + r * mu.cov.entries + gamma * eye
+def _extended_logdet(cov, shift):
+    """``log shift + sum_k log1p(tau_k / shift)`` over the eigenvalues ``tau`` of ``cov``."""
+    return float(np.log(shift) + np.sum(np.log1p(np.linalg.eigvalsh(cov) / shift)))
+
+
+def _quadratic_form(nu, mu, r, gamma):
+    """Half the quadratic form of the mean difference in the shifted blend, by a dense solve."""
+    blend = (1.0 - r) * nu.cov.entries + r * mu.cov.entries + gamma * np.eye(nu.dim)
     dm = nu.mean - mu.mean
-    x, y = gd.ShiftedOperator(nu.cov, gamma), gd.ShiftedOperator(mu.cov, gamma)
-    logdet = gd.alpha_logdet(2.0 * r - 1.0, x, y).value
-    return 0.5 * float(dm @ np.linalg.solve(blend, dm)) + 0.5 * logdet
+    return 0.5 * float(dm @ np.linalg.solve(blend, dm))
+
+
+def _dense_solve_route(nu, mu, r, gamma):
+    """The route the cached spectra replaced, frozen here: a dense solve for the
+    quadratic form, and the alpha log-det divergence of the shifted covariances
+    from eigenvalue log-determinants, with a dense solve for the KL's trace."""
+    a, b, n = nu.cov.entries, mu.cov.entries, nu.dim
+    ld_a, ld_b = _extended_logdet(a, gamma), _extended_logdet(b, gamma)
+    if r == 1.0:
+        finite = np.trace(np.linalg.solve(b + gamma * np.eye(n), a + gamma * np.eye(n)))
+        logdet = float(finite) - (n - 1) - 1.0 - (ld_a - ld_b)
+    else:
+        alpha = 2.0 * r - 1.0
+        w_a, w_b = 0.5 * (1.0 - alpha), 0.5 * (1.0 + alpha)
+        ld_blend = _extended_logdet(w_a * a + w_b * b, w_a * gamma + w_b * gamma)
+        logdet = (ld_blend - w_a * ld_a - w_b * ld_b) / (w_a * w_b)
+    return _quadratic_form(nu, mu, r, gamma) + 0.5 * logdet
 
 
 def _condition(nu, mu, r, gamma):
@@ -192,3 +217,52 @@ def test_exact_renyi_condition_1e8_within_the_bound(r, exact_references):
         bound = max(1e-9, EPS * _condition(nu, mu, r, 0.0))
         err = _rel_err(gd.exact_renyi(nu, mu, r), refs[r])
         assert err <= bound, (err, bound)
+
+
+def _operator_route(nu, mu, r, gamma):
+    """:func:`gaussdiv.alpha_logdet` of the shifted covariances, ``ShiftedOperator(C, gamma)``,
+    with the quadratic form added back."""
+    x, y = gd.ShiftedOperator(nu.cov, gamma), gd.ShiftedOperator(mu.cov, gamma)
+    return _quadratic_form(nu, mu, r, gamma) + 0.5 * gd.alpha_logdet(2.0 * r - 1.0, x, y).value
+
+
+OPERATOR_FAMILIES = {"well-conditioned": WELL, **HARD}
+
+
+@pytest.fixture(scope="module")
+def operator_errors():
+    """(family, gamma, order) -> [(alpha_logdet error, frozen-route error, bound)] over the family."""
+    errors = {}
+    for family, pairs in OPERATOR_FAMILIES.items():
+        for gamma in GAMMAS:
+            for nu, mu in pairs:
+                refs = _references(nu, mu, gamma)
+                for r in ORDERS:
+                    errors.setdefault((family, gamma, r), []).append((
+                        _rel_err(_operator_route(nu, mu, r, gamma), refs[r]),
+                        _rel_err(_dense_solve_route(nu, mu, r, gamma), refs[r]),
+                        max(1e-9, EPS * _condition(nu, mu, r, gamma)),
+                    ))
+    return errors
+
+
+@pytest.mark.parametrize("family", list(OPERATOR_FAMILIES))
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_alpha_logdet_within_the_conditioning_bound(family, gamma, operator_errors):
+    for r in ORDERS:
+        for err, _, bound in operator_errors[(family, gamma, r)]:
+            assert err <= bound, (r, err, bound)
+
+
+@pytest.mark.parametrize("family", list(OPERATOR_FAMILIES))
+@pytest.mark.parametrize("orders, limit", [((1.0,), 2.0), (ORDERS[1:], 1.0)], ids=["kl", "renyi"])
+def test_alpha_logdet_as_accurate_as_the_frozen_route(family, orders, limit, operator_errors):
+    # Cholesky log-determinants: no worse than the eigenvalue ones at the interior
+    # orders; at the KL endpoint the trace's solve keeps the two routes close.
+    ratios = [
+        max(err, EPS) / max(frozen, EPS)
+        for gamma in GAMMAS[1:]
+        for r in orders
+        for err, frozen, _ in operator_errors[(family, gamma, r)]
+    ]
+    assert np.median(ratios) <= limit

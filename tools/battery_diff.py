@@ -12,7 +12,8 @@ largest finite magnitude on its line in either output: a sweep row's
 ``abs_err`` and ``rel_err`` are differences of its values, so they drift
 relative to those values.  ``inf`` and ``nan`` count as numbers, equal to
 themselves.  A last line sums up.  The exit status is 1 when any exit code,
-stderr or warning differs, and 0 when only numbers drift.
+stderr, warning or text around the numbers differs, and 0 when only numbers
+drift.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
         if not differs and drift == 0.0:
             continue
         worst = max(worst, drift)
-        contract += any(key in differs for key in ("exit", "stderr", "warnings"))
+        contract += bool(differs)
         drifted += drift > 0.0
         print(f"$ {new['args']}")
         if "exit" in differs:
@@ -108,7 +109,7 @@ def main(argv=None) -> int:
                 print(f"  {key} differs")
         if drift > 0.0:
             print(f"  max relative drift {drift:.3g} in: {where}")
-    print(f"# {len(new_calls)} calls; {contract} differ in exit code, stderr or warnings; "
+    print(f"# {len(new_calls)} calls; {contract} differ in exit code, stderr, warnings or text; "
           f"{drifted} drift in their numbers, at most {worst:.3g} relative")
     return 1 if contract else 0
 

@@ -34,6 +34,7 @@ from .operators import (
     DEFAULT_TOL,
     Spectrum,
     TraceClassBlock,
+    _for_row_blocks,
     _shifted_cholesky,
     _shifted_logdet,
     _warn_ill_conditioned,
@@ -376,11 +377,19 @@ def log_radon_nikodym_batch(
     a = data.s_spectrum.eigenvalues
     one_minus = 1.0 - a
     d_hat = data.s_spectrum.eigenvectors.T @ data.delta
-    x_hat = (points - mu.mean) @ data._rn_frame
+    frame = data._rn_frame
     const = -0.5 * float(np.sum(np.log1p(-a))) - 0.5 * float(np.sum(d_hat * d_hat / one_minus))
-    quad = -0.5 * (x_hat * x_hat) @ (a / one_minus)
-    cross = x_hat @ (d_hat / one_minus)
-    return const + quad + cross
+    weights, pull = a / one_minus, d_hat / one_minus
+    out = np.empty(points.shape[0])
+
+    def fill(start: int, stop: int) -> None:
+        x_hat = (points[start:stop] - mu.mean) @ frame
+        quad = -0.5 * (x_hat * x_hat) @ weights
+        cross = x_hat @ pull
+        out[start:stop] = const + quad + cross
+
+    _for_row_blocks(points.shape[0], mu.dim, fill)
+    return out
 
 
 def log_radon_nikodym(

@@ -11,6 +11,11 @@ inverse-CDF images; both choices are bit-stable across platforms.  Derived
 seeds for independent sub-experiments come from :func:`split_seed`.  Identical
 seeds therefore reproduce identical sample matrices, identical Monte-Carlo
 estimates, and byte-identical CSV files.
+
+Sampling runs in blocks of rows on several threads.  A block starts its
+generator at the block's first draw, by advancing the Philox counter, so a
+sample matrix does not depend on how its rows are split across threads: with
+one BLAS thread it equals, byte for byte, the matrix of one serial pass.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .gaussian import (
     exact_renyi,
     log_radon_nikodym_batch,
 )
-from .operators import DEFAULT_TOL, TraceClassBlock, _spectral_sqrt, sym_eigen
+from .operators import DEFAULT_TOL, TraceClassBlock, _for_row_blocks, _spectral_sqrt, sym_eigen
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
@@ -50,14 +55,33 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def standard_normal(seed: int, stream: int, shape) -> np.ndarray:
-    """Standard normal variates via inverse CDF on open-interval 53-bit uniforms."""
+def _normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """Draws ``start`` to ``start + count`` of the ``(seed, stream)`` normal sequence.
+
+    Philox makes four 64-bit words per counter step and each draw takes one
+    word, so ``start`` must be a multiple of 4.
+    """
     gen = _generator(seed, stream)
-    # In place: the n x dim matrices of a Monte-Carlo run set its peak memory.
-    u = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64).astype(np.float64)
+    gen.bit_generator.advance(start // 4)
+    u = gen.integers(0, 1 << 53, size=count, dtype=np.uint64).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
     return ndtri(u, out=u)
+
+
+def standard_normal(seed: int, stream: int, shape) -> np.ndarray:
+    """Standard normal variates via inverse CDF on open-interval 53-bit uniforms, in C order."""
+    out = np.empty(shape)
+    rows = out.shape[0] if out.ndim else 1
+    width = math.prod(out.shape[1:])
+    flat = out.reshape(rows, width)
+
+    def fill(start: int, stop: int) -> None:
+        draws = _normals(seed, stream, start * width, (stop - start) * width)
+        flat[start:stop] = draws.reshape(stop - start, width)
+
+    _for_row_blocks(rows, width, fill)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +93,10 @@ def standard_normal(seed: int, stream: int, shape) -> np.ndarray:
 class SpectrumFamily:
     """Eigenvalue profile for synthetic covariances.
 
-    ``powerlaw`` decays as k^(-s) with s > 1 (summable, mimicking trace-class
-    decay), ``exponential`` as exp(-rate (k-1)) with rate > 0, ``explicit``
-    uses the given strictly positive values, sorted descending.
+    ``powerlaw`` decays as k^(-s) with finite s > 1 (summable, mimicking
+    trace-class decay), ``exponential`` as exp(-rate (k-1)) with finite
+    rate > 0, ``explicit`` uses the given strictly positive values, sorted
+    descending.  A decay that underflows to zero within ``dim`` is rejected.
     """
 
     kind: str
@@ -85,10 +110,10 @@ class SpectrumFamily:
             raise ValueError(f"unknown spectrum family {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.kind == "powerlaw" and not self.s > 1.0:
-            raise ValueError("power-law exponent must satisfy s > 1")
-        if self.kind == "exponential" and not self.rate > 0.0:
-            raise ValueError("exponential rate must be strictly positive")
+        if self.kind == "powerlaw" and not 1.0 < self.s < math.inf:
+            raise ValueError("power-law exponent must satisfy s > 1 and be finite")
+        if self.kind == "exponential" and not 0.0 < self.rate < math.inf:
+            raise ValueError("exponential rate must be strictly positive and finite")
         if self.kind == "explicit":
             if not self.values:
                 raise ValueError("explicit family needs at least one value")
@@ -96,6 +121,8 @@ class SpectrumFamily:
                 raise ValueError("explicit family: len(values) must equal dim")
             if min(self.values) <= 0.0:
                 raise ValueError("explicit eigenvalues must be strictly positive")
+        elif not float(np.min(self.eigenvalues())) > 0.0:
+            raise ValueError(f"{self.kind} eigenvalues underflow to zero at dim {self.dim}")
 
     @classmethod
     def power_law(cls, dim: int, s: float = 2.0) -> "SpectrumFamily":
@@ -146,9 +173,17 @@ def sample_gaussian(measure: GaussianMeasure, n: int, seed: int) -> np.ndarray:
     """``n`` rows ``mean + C^{1/2} z`` with fresh standard normal ``z`` per row."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    root = _spectral_sqrt(measure.spectrum)
-    samples = standard_normal(seed, STREAM_SAMPLE, (int(n), measure.dim)) @ root.entries
-    return np.add(samples, measure.mean, out=samples)
+    root = _spectral_sqrt(measure.spectrum).entries
+    dim = measure.dim
+    samples = np.empty((int(n), dim))
+
+    def fill(start: int, stop: int) -> None:
+        z = _normals(seed, STREAM_SAMPLE, start * dim, (stop - start) * dim)
+        block = np.matmul(z.reshape(stop - start, dim), root, out=samples[start:stop])
+        block += measure.mean
+
+    _for_row_blocks(int(n), dim, fill)
+    return samples
 
 
 # ---------------------------------------------------------------------------

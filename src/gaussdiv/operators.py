@@ -17,7 +17,9 @@ determinant product property.
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -60,6 +62,10 @@ class ToleranceConfig:
 
 # The thresholds every function in the package applies; there is no per-call override.
 DEFAULT_TOL = ToleranceConfig()
+
+# float64 values per row block of the Monte-Carlo passes, 2 MB: a block's
+# normals, samples and whitened rows stay in a core's cache between passes.
+_BLOCK_VALUES = 1 << 18
 
 # An inverse square root of a matrix with condition number beyond this is
 # numerically suspect; results still return, with a warning attached.
@@ -369,3 +375,56 @@ def _warn_ill_conditioned(lam: np.ndarray) -> None:
             IllConditioned,
             stacklevel=stacklevel,
         )
+
+
+def _for_row_blocks(rows: int, width: int, fill) -> None:
+    """Call ``fill(start, stop)`` over consecutive row ranges covering ``range(rows)``.
+
+    A range holds a multiple of 12 rows, about ``_BLOCK_VALUES`` values of
+    ``width`` each, and the last range takes the remainder.  With one BLAS
+    thread, every row of a range's matmul then rounds as in one call over all
+    rows: 12 is a multiple of Philox's four words per step and of the row
+    panels of OpenBLAS's AVX-512 dgemm, and a split job has no short range,
+    which BLAS would multiply with its small-matrix or one-row kernels.
+    The ranges run on up to one thread per CPU of the process, the calling
+    thread among them; a single range runs inline.  numpy ufuncs, Philox and
+    BLAS release the GIL.  Every thread is joined before the first exception of
+    ``fill`` propagates.  ``fill`` writes disjoint rows and calls no traced entry
+    point: no public ``gaussdiv`` function and no ``numpy.linalg`` or
+    ``scipy.linalg`` one.
+    """
+    step = max(12, _BLOCK_VALUES // max(width, 1) // 12 * 12)
+    count = max(rows // step, 1 if rows else 0)
+    ranges = [(i * step, rows if i == count - 1 else (i + 1) * step) for i in range(count)]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(ranges))
+    if workers <= 1:
+        for start, stop in ranges:
+            fill(start, stop)
+        return
+    jobs, lock, errors = iter(ranges), threading.Lock(), []
+
+    def work() -> None:
+        while not errors:
+            with lock:
+                job = next(jobs, None)
+            if job is None:
+                return
+            try:
+                fill(*job)
+            except BaseException as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]

@@ -68,6 +68,19 @@ class TestGen:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    @pytest.mark.parametrize("args", [
+        ["--family", "powerlaw", "--s", "inf"],
+        ["--family", "powerlaw", "--s", "2000"],
+        ["--family", "exp", "--rate", "inf"],
+        ["--family", "exp", "--rate", "1e4"],
+    ])
+    def test_spectra_without_positive_finite_eigenvalues_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "x.json"
+        assert main(["gen", *args, "--dim", "3", "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert not out.exists()
+
 
 class TestDiv:
     def test_exact_is_default(self, pair_files, capsys):

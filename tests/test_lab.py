@@ -1,6 +1,7 @@
 """Experiment harness: seeding, synthetic measures, Monte-Carlo oracles, sweeps, CSV."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,33 @@ class TestSpectrumFamilies:
             gd.SpectrumFamily("powerlaw", 0)
         with pytest.raises(ValueError):
             gd.SpectrumFamily("cauchy", 3)
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_power_law_exponent_must_be_finite(self, s):
+        with pytest.raises(ValueError, match="finite"):
+            gd.SpectrumFamily.power_law(3, s=s)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_exponential_rate_must_be_finite(self, rate):
+        # An infinite rate used to reach exp(-inf * 0) and warn before failing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                gd.SpectrumFamily.exponential(3, rate=rate)
+
+    @pytest.mark.parametrize(
+        "family", [lambda: gd.SpectrumFamily.power_law(3, s=2000.0),
+                   lambda: gd.SpectrumFamily.exponential(3, rate=1e4),
+                   lambda: gd.SpectrumFamily.power_law(200_000, s=70.0)],
+        ids=["powerlaw s=2000", "exponential rate=1e4", "powerlaw dim=2e5 s=70"],
+    )
+    def test_eigenvalues_that_underflow_to_zero_are_rejected(self, family):
+        with pytest.raises(ValueError, match="underflow"):
+            family()
+
+    def test_largest_representable_decay_is_accepted(self):
+        assert gd.SpectrumFamily.power_law(3, s=600.0).eigenvalues()[-1] > 0.0
+        assert gd.SpectrumFamily.exponential(3, rate=300.0).eigenvalues()[-1] > 0.0
 
 
 class TestGenMeasure:

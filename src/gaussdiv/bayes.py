@@ -13,7 +13,7 @@ import scipy.linalg
 
 from .errors import DimMismatch, NonFinite, NotPositive
 from .gaussian import GaussianMeasure
-from .operators import DEFAULT_TOL, TraceClassBlock, _shifted_cholesky
+from .operators import PSD_CLIP, TraceClassBlock, _shifted_cholesky
 
 
 class LinearGaussianModel:
@@ -40,9 +40,9 @@ class LinearGaussianModel:
             raise DimMismatch(f"prior dim {prior.dim} does not match forward columns {dim}")
         if y.shape[0] != obs_dim:
             raise DimMismatch(f"observation length {y.shape[0]} does not match forward rows {obs_dim}")
-        if float(np.min(np.linalg.eigvalsh(gamma.entries))) <= DEFAULT_TOL.psd_clip:
+        if float(np.min(np.linalg.eigvalsh(gamma.entries))) <= PSD_CLIP:
             raise NotPositive("noise covariance must be strictly positive definite")
-        if float(np.min(prior.eigenvalues)) <= DEFAULT_TOL.psd_clip:
+        if float(np.min(prior.eigenvalues)) <= PSD_CLIP:
             raise NotPositive("prior covariance must be strictly positive definite")
         a.flags.writeable = False
         y.flags.writeable = False

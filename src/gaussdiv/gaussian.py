@@ -31,7 +31,8 @@ from .errors import Degenerate, DimMismatch, NonFinite, NotPositive, NotPSD, Sin
 from .logdet import LogDetPath, _endpoint_path, _interior, _kl_limit
 from .operators import (
     CONDITION_WARN,
-    DEFAULT_TOL,
+    PSD_CLIP,
+    SINGULAR_MARGIN,
     Spectrum,
     TraceClassBlock,
     _for_row_blocks,
@@ -64,7 +65,7 @@ class GaussianMeasure:
         if m.shape[0] != cov.dim:
             raise DimMismatch(f"mean length {m.shape[0]} does not match cov dim {cov.dim}")
         lam = np.linalg.eigvalsh(cov.entries)
-        if lam.size and float(np.min(lam)) < -DEFAULT_TOL.psd_clip:
+        if lam.size and float(np.min(lam)) < -PSD_CLIP:
             raise NotPSD("covariance has a genuinely negative eigenvalue")
         m.flags.writeable = False
         lam.flags.writeable = False
@@ -107,7 +108,7 @@ class GaussianPair:
     Cholesky factor ``L`` of ``mu.cov``: ``s_block`` is ``S = I - L^{-1} C_nu L^{-T}``,
     so ``nu.cov = L (I - S) L^T``, and ``delta = L^{-1}(m_nu - m_mu)``; any other
     whitening changes both by one rotation, which no divergence sees.  The KL
-    and ``singular`` (the top eigenvalue of ``S`` within ``singular_margin`` of
+    and ``singular`` (the top eigenvalue of ``S`` within ``SINGULAR_MARGIN`` of
     1) read ``s_eigenvalues``; other orders and the log density ratio need
     ``s_spectrum``.  Regularized orders routed to a KL limit read gamma-free
     terms: each measure's ``eigenvalues`` give the shifted log-determinants, and
@@ -128,7 +129,7 @@ class GaussianPair:
     @cached_property
     def base_factor(self) -> np.ndarray:
         lam = self.mu.eigenvalues
-        if lam.size == 0 or float(lam[0]) <= DEFAULT_TOL.psd_clip:
+        if lam.size == 0 or float(lam[0]) <= PSD_CLIP:
             raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
         _warn_ill_conditioned(lam)
         try:
@@ -160,7 +161,7 @@ class GaussianPair:
     @cached_property
     def singular(self) -> bool:
         a = self.s_eigenvalues
-        return bool(a.size and float(a[-1]) >= 1.0 - DEFAULT_TOL.singular_margin)
+        return bool(a.size and float(a[-1]) >= 1.0 - SINGULAR_MARGIN)
 
     @cached_property
     def _rn_frame(self) -> np.ndarray:
@@ -237,7 +238,7 @@ def equivalence_data(nu: GaussianMeasure, mu: GaussianMeasure) -> GaussianPair:
     Raises
     ------
     Degenerate
-        if ``mu.cov`` has an eigenvalue at or below ``psd_clip``, or its
+        if ``mu.cov`` has an eigenvalue at or below ``PSD_CLIP``, or its
         Cholesky factorization fails.
     DimMismatch
         if the measures live on different spaces.
@@ -321,7 +322,7 @@ def exact_renyi(
         return exact_kl(mu, nu)
     a = data.s_spectrum.eigenvalues
     weights = 1.0 - (1.0 - r) * a
-    if weights.size and float(np.min(weights)) <= DEFAULT_TOL.singular_margin:
+    if weights.size and float(np.min(weights)) <= SINGULAR_MARGIN:
         raise NotPositive("I - (1-r) S is not positive definite")
     d_hat = data.s_spectrum.eigenvectors.T @ data.delta
     mean_term = 0.5 * float(np.sum(d_hat * d_hat / weights))

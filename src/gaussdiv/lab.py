@@ -34,7 +34,7 @@ from .gaussian import (
     exact_renyi,
     log_radon_nikodym_batch,
 )
-from .operators import DEFAULT_TOL, TraceClassBlock, _for_row_blocks, _spectral_sqrt, sym_eigen
+from .operators import SINGULAR_MARGIN, TraceClassBlock, _for_row_blocks, _spectral_sqrt, sym_eigen
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
@@ -251,7 +251,7 @@ def gauss_exp_quadratic(
     t_mat = root @ m_op.entries @ root
     spec = sym_eigen(TraceClassBlock(0.5 * (t_mat + t_mat.T)))
     t_eig = spec.eigenvalues
-    if t_eig.size and float(np.max(t_eig)) >= 1.0 - DEFAULT_TOL.singular_margin:
+    if t_eig.size and float(np.max(t_eig)) >= 1.0 - SINGULAR_MARGIN:
         raise NotPositive("I - Q^{1/2} M Q^{1/2} is not positive definite")
     b_hat = spec.eigenvectors.T @ (root @ b)
     log_val = -0.5 * float(np.sum(np.log1p(-t_eig))) + 0.5 * float(

@@ -27,7 +27,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    Degenerate,
     DimMismatch,
     EigFailure,
     IllConditioned,
@@ -38,37 +37,21 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical thresholds used across the package.
-
-    sym_tol: allowed relative asymmetry of a symmetric matrix.
-    eig_tol: allowed residual in eigendecomposition identities.
-    psd_clip: eigenvalues in (-psd_clip, 0) count as zero; below is an error.
-    singular_margin: how close an eigenvalue may get to a positivity boundary
-        before the operator is treated as singular.
-    """
-
-    sym_tol: float = 1e-10
-    eig_tol: float = 1e-9
-    psd_clip: float = 1e-12
-    singular_margin: float = 1e-10
-
-    def __post_init__(self) -> None:
-        for name in ("sym_tol", "eig_tol", "psd_clip", "singular_margin"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-# The thresholds every function in the package applies; there is no per-call override.
-DEFAULT_TOL = ToleranceConfig()
-
 # float64 values per row block of the Monte-Carlo passes, 2 MB: a block's
 # normals, samples and whitened rows stay in a core's cache between passes.
 _BLOCK_VALUES = 1 << 18
 
-# An inverse square root of a matrix with condition number beyond this is
-# numerically suspect; results still return, with a warning attached.
+# The package's numerical thresholds, the same for every call.
+# Eigenvalues in (-PSD_CLIP, 0) count as zero; below is an error.
+PSD_CLIP = 1e-12
+# How close an eigenvalue may get to a positivity boundary before the operator is singular.
+SINGULAR_MARGIN = 1e-10
+# Allowed asymmetry of a symmetric matrix, relative to 1 + its largest entry.
+_SYM_TOL = 1e-10
+# Allowed imaginary part of the real spectrum of a product of symmetric operators.
+_EIG_TOL = 1e-9
+# Inverting a matrix whose condition number is beyond this is numerically
+# suspect; results still return, with a warning attached.
 CONDITION_WARN = 1e12
 
 
@@ -82,18 +65,18 @@ def _as_square_matrix(entries, *, what: str) -> np.ndarray:
 
 
 def _is_symmetric(m: np.ndarray) -> bool:
-    """Asymmetry within ``sym_tol * (1 + max|entries|)``."""
+    """Asymmetry within ``_SYM_TOL * (1 + max|entries|)``."""
     if m.size == 0:
         return True
     scale = 1.0 + float(np.max(np.abs(m)))
-    return float(np.max(np.abs(m - m.T))) <= DEFAULT_TOL.sym_tol * scale
+    return float(np.max(np.abs(m - m.T))) <= _SYM_TOL * scale
 
 
 class TraceClassBlock:
     """Symmetric dim x dim matrix standing for a finite-rank trace-class operator.
 
     Entries are symmetrized exactly on construction; input asymmetric beyond
-    ``sym_tol * (1 + max|entries|)`` is rejected.
+    ``_SYM_TOL * (1 + max|entries|)`` is rejected.
     """
 
     __slots__ = ("entries",)
@@ -199,7 +182,7 @@ def _general_eigvals(block: np.ndarray) -> np.ndarray:
         w = scipy.linalg.eigvals(block)
     except Exception as exc:
         raise EigFailure(str(exc)) from exc
-    if np.max(np.abs(w.imag)) > DEFAULT_TOL.eig_tol * (1.0 + np.max(np.abs(w.real))):
+    if np.max(np.abs(w.imag)) > _EIG_TOL * (1.0 + np.max(np.abs(w.real))):
         raise EigFailure("block has a genuinely complex spectrum")
     return np.sort(w.real)
 
@@ -225,7 +208,7 @@ def ext_fredholm_logdet(op: ShiftedOperator) -> float:
         if ``shift <= 0``.
     NotPositive
         if the Cholesky factorization of a symmetric ``block + c I`` fails, or if
-        any ``1 + tau_k / c`` of a nonsymmetric block is at or below ``singular_margin``.
+        any ``1 + tau_k / c`` of a nonsymmetric block is at or below ``SINGULAR_MARGIN``.
     """
     c = op.shift
     if c <= 0:
@@ -249,11 +232,18 @@ def _shifted_cholesky(matrix: np.ndarray, shift: float) -> tuple[np.ndarray, flo
 
 
 def _shifted_logdet(tau: np.ndarray, c: float) -> float:
-    """``log c + sum_k log(1 + tau_k / c)`` from the block eigenvalues ``tau``, for ``c > 0``."""
-    ratios = tau / c
-    if ratios.size and np.min(1.0 + ratios) <= DEFAULT_TOL.singular_margin:
+    """``log c + sum_k log(1 + tau_k / c)`` from the block eigenvalues ``tau``, for ``c > 0``.
+
+    Where ``tau_k / c`` overflows (a subnormal ``c``), the term is ``log tau_k - log c``,
+    which equals ``log1p(tau_k / c)`` in double precision there."""
+    with np.errstate(over="ignore"):
+        ratios = tau / c
+    if ratios.size and np.min(1.0 + ratios) <= SINGULAR_MARGIN:
         raise NotPositive("shifted operator is not positive definite")
-    return float(np.log(c) + np.sum(np.log1p(ratios)))
+    terms = np.log1p(ratios)
+    huge = np.isinf(ratios)
+    terms[huge] = np.log(tau[huge]) - np.log(c)
+    return float(np.log(c) + np.sum(terms))
 
 
 def carleman_logdet2(T: TraceClassBlock) -> float:
@@ -267,7 +257,7 @@ def carleman_logdet2(T: TraceClassBlock) -> float:
         tau = np.linalg.eigvalsh(T.entries)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-    if tau.size and np.min(1.0 + tau) <= DEFAULT_TOL.singular_margin:
+    if tau.size and np.min(1.0 + tau) <= SINGULAR_MARGIN:
         raise NotPositive("I + T is not positive definite")
     return float(np.sum(np.log1p(tau) - tau))
 
@@ -307,7 +297,7 @@ def shifted_inv(op: ShiftedOperator) -> ShiftedOperator:
     # A symmetric block is factored once: the test reads the eigenvalues of the inverse's eigh.
     spec = sym_eigen(TraceClassBlock(op.block)) if _is_symmetric(op.block) else None
     tau = _general_eigvals(op.block) if spec is None else spec.eigenvalues
-    if tau.size and np.min(1.0 + tau / c) <= DEFAULT_TOL.singular_margin:
+    if tau.size and np.min(1.0 + tau / c) <= SINGULAR_MARGIN:
         raise NotPositive("shifted operator is not positive definite")
     if spec is not None:
         v = spec.eigenvectors
@@ -326,8 +316,8 @@ def shifted_identity(dim: int) -> ShiftedOperator:
 def psd_sqrt(T: TraceClassBlock) -> TraceClassBlock:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in ``(-psd_clip, 0)`` are rounding noise and clip to zero;
-    anything below ``-psd_clip`` raises :class:`NotPSD`.
+    Eigenvalues in ``(-PSD_CLIP, 0)`` are rounding noise and clip to zero;
+    anything below ``-PSD_CLIP`` raises :class:`NotPSD`.
     """
     return _spectral_sqrt(sym_eigen(T))
 
@@ -335,26 +325,9 @@ def psd_sqrt(T: TraceClassBlock) -> TraceClassBlock:
 def _spectral_sqrt(spec: Spectrum) -> TraceClassBlock:
     """:func:`psd_sqrt` of the matrix whose eigendecomposition is ``spec``."""
     lam = spec.eigenvalues
-    if lam.size and float(np.min(lam)) < -DEFAULT_TOL.psd_clip:
+    if lam.size and float(np.min(lam)) < -PSD_CLIP:
         raise NotPSD("matrix has a genuinely negative eigenvalue")
     root = (spec.eigenvectors * np.sqrt(np.clip(lam, 0.0, None))) @ spec.eigenvectors.T
-    return TraceClassBlock(0.5 * (root + root.T))
-
-
-def psd_inv_sqrt(T: TraceClassBlock) -> TraceClassBlock:
-    """Symmetric inverse square root; eigenvalues at or below ``psd_clip`` are degenerate.
-
-    Warns :class:`IllConditioned` when the condition number exceeds
-    ``CONDITION_WARN``: the root still returns, but whitening by it is unreliable.
-    """
-    spec = sym_eigen(T)
-    lam = spec.eigenvalues
-    if lam.size and float(np.min(lam)) < -DEFAULT_TOL.psd_clip:
-        raise NotPSD("matrix has a genuinely negative eigenvalue")
-    if lam.size == 0 or float(np.min(lam)) <= DEFAULT_TOL.psd_clip:
-        raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
-    _warn_ill_conditioned(lam)
-    root = (spec.eigenvectors * (1.0 / np.sqrt(lam))) @ spec.eigenvectors.T
     return TraceClassBlock(0.5 * (root + root.T))
 
 
@@ -387,11 +360,11 @@ def _for_row_blocks(rows: int, width: int, fill) -> None:
     panels of OpenBLAS's AVX-512 dgemm, and a split job has no short range,
     which BLAS would multiply with its small-matrix or one-row kernels.
     The ranges run on up to one thread per CPU of the process, the calling
-    thread among them; a single range runs inline.  numpy ufuncs, Philox and
-    BLAS release the GIL.  Every thread is joined before the first exception of
-    ``fill`` propagates.  ``fill`` writes disjoint rows and calls no traced entry
-    point: no public ``gaussdiv`` function and no ``numpy.linalg`` or
-    ``scipy.linalg`` one.
+    thread among them; with one range or one CPU it runs them all, in order.
+    numpy ufuncs, Philox and BLAS release the GIL.  Every thread is joined
+    before the first exception of ``fill`` propagates.  ``fill`` writes
+    disjoint rows and calls no traced entry point: no public ``gaussdiv``
+    function and no ``numpy.linalg`` or ``scipy.linalg`` one.
     """
     step = max(12, _BLOCK_VALUES // max(width, 1) // 12 * 12)
     count = max(rows // step, 1 if rows else 0)
@@ -401,10 +374,6 @@ def _for_row_blocks(rows: int, width: int, fill) -> None:
     except AttributeError:
         cpus = os.cpu_count() or 1
     workers = min(cpus, len(ranges))
-    if workers <= 1:
-        for start, stop in ranges:
-            fill(start, stop)
-        return
     jobs, lock, errors = iter(ranges), threading.Lock(), []
 
     def work() -> None:

@@ -146,6 +146,19 @@ class TestDiv:
                          "--nu", paths[0], "--mu", paths[1]]) == code
             assert capsys.readouterr().out == out
 
+    def test_gamma_below_a_clipped_negative_eigenvalue_exits_2(self, tmp_path, capsys):
+        nu = gd.GaussianMeasure([0.0, 0.0], np.diag([1.0, -5e-13]))
+        unit = gd.GaussianMeasure([0.0, 0.0], np.eye(2))
+        paths = [str(tmp_path / "nu.json"), str(tmp_path / "mu.json")]
+        for measure, path in zip((nu, unit), paths):
+            with open(path, "w") as handle:
+                json.dump(measure.to_dict(), handle)
+        pair = ["--nu", paths[0], "--mu", paths[1]]
+        assert main(["div", "--kind", "kl", "--gamma", "5e-13", *pair]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert main(["div", "--kind", "kl", "--gamma", "1e-12", *pair]) == 0
+        assert float(capsys.readouterr().out) == gd.regularized_kl(nu, unit, 1e-12)
+
     def test_singular_pair_regularized_is_finite(self, singular_files, capsys):
         nu_path, mu_path = singular_files
         assert main(["div", "--kind", "kl", "--gamma", "1e-3",

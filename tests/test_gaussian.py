@@ -382,6 +382,29 @@ class TestRegularized:
             val = gd.regularized_divergence(nu, mu, kind, 1e-3, r)
             assert math.isfinite(val)
 
+    @pytest.mark.parametrize("gamma, scale", [(1e-320, 1.0), (5e-324, 1.0), (1e-300, 1e100)],
+                             ids=["gamma 1e-320", "gamma 5e-324", "covariances 1e100, gamma 1e-300"])
+    def test_kl_limit_finite_where_eigenvalue_over_gamma_overflows(self, gamma, scale):
+        nu = gd.gen_measure(gd.SpectrumFamily.power_law(5), 1, 0.3)
+        mu = gd.gen_measure(gd.SpectrumFamily.exponential(5), 2)
+        nu, mu = (gd.GaussianMeasure(m.mean * math.sqrt(scale), m.cov.entries * scale)
+                  for m in (nu, mu))
+        kl, reverse = gd.exact_kl(nu, mu), gd.exact_kl(mu, nu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r, exact in ((1.0, kl), (1.0 - 2.0**-53, kl), (5e-324, reverse)):
+                assert gd.regularized_renyi(nu, mu, r, gamma) == pytest.approx(exact, rel=1e-12)
+
+    def test_negative_eigenvalue_inside_the_clip(self):
+        # -5e-13 passes validation as rounding noise; C + gamma I is then positive only above 5e-13.
+        nu = gd.GaussianMeasure([0.0, 0.0], np.diag([1.0, -5e-13]))
+        unit = gd.GaussianMeasure([0.0, 0.0], np.eye(2))
+        with pytest.raises(gd.NotPositive):
+            gd.regularized_kl(nu, unit, 5e-13)
+        eye = 1e-12 * np.eye(2)
+        want = kl_closed(nu.mean, nu.cov.entries + eye, unit.mean, unit.cov.entries + eye)
+        assert gd.regularized_kl(nu, unit, 1e-12) == pytest.approx(want, rel=1e-12)
+
     def test_ill_conditioned_shift_warns(self):
         # The inverted C + gamma I has condition (1 + gamma) / gamma: beyond 1e12
         # at gamma = 1e-14, about 1e3 at gamma = 1e-3.

@@ -12,19 +12,12 @@ import gaussdiv as gd
 from oracles import rand_orthogonal, rand_spd, ref_extended_logdet
 
 
-class TestToleranceConfig:
+class TestThresholds:
     def test_defaults(self):
-        tol = gd.ToleranceConfig()
-        assert tol.sym_tol == 1e-10
-        assert tol.eig_tol == 1e-9
-        assert tol.psd_clip == 1e-12
-        assert tol.singular_margin == 1e-10
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gd.ToleranceConfig(sym_tol=0.0)
-        with pytest.raises(ValueError):
-            gd.ToleranceConfig(psd_clip=-1e-12)
+        assert gd.PSD_CLIP == 1e-12
+        assert gd.SINGULAR_MARGIN == 1e-10
+        assert gd.operators._SYM_TOL == 1e-10
+        assert gd.operators._EIG_TOL == 1e-9
 
 
 class TestTraceClassBlock:
@@ -246,18 +239,6 @@ class TestSpectralHelpers:
     def test_psd_sqrt_rejects_negative(self):
         with pytest.raises(gd.NotPSD):
             gd.psd_sqrt(gd.TraceClassBlock(np.diag([1.0, -0.1])))
-
-    def test_psd_inv_sqrt(self):
-        rng = np.random.default_rng(6)
-        t = gd.TraceClassBlock(rand_spd(rng, 4, lo=0.2, hi=2.0))
-        w = gd.psd_inv_sqrt(t)
-        assert_allclose(w.entries @ t.entries @ w.entries, np.eye(4), atol=1e-11)
-
-    def test_psd_inv_sqrt_degenerate(self):
-        with pytest.raises(gd.Degenerate):
-            gd.psd_inv_sqrt(gd.TraceClassBlock(np.diag([1.0, 0.0])))
-        with pytest.raises(gd.NotPSD):
-            gd.psd_inv_sqrt(gd.TraceClassBlock(np.diag([1.0, -0.5])))
 
 
 @st.composite

@@ -12,14 +12,15 @@ wrote.  Two commits agree on the whole CLI contract when the outputs of their
 batteries are byte-identical (``cmp``).
 
 The calls: ``gen`` for every measure (``zero``, with a zero eigenvalue, is
-rejected); ``div`` for every kind (Renyi at orders
-1e-13, 0.3, 0.9 and 1 - 1e-13), exact and at gamma 1e-2, 1e-6, 1e-10, 1e-14, 0
-and nan; ``sweep-gamma`` for every kind; ``sweep-r`` exact and at gamma 1e-3,
-1e-8 and 1e-14.  They run over random pairs of dims 3 to 40 in both
-directions, plus a mutually singular pair, a pair with a degenerate base
-(``flat``: an eigenvalue of 1e-13, below the clip threshold, so its exact
-values report ``Degenerate`` and its regularized ones stay finite) and an
-ill-conditioned pair whose regularized values warn ``IllConditioned``.
+rejected); ``div`` for every kind (Renyi at orders 1e-13, 0.3, 0.9 and
+1 - 1e-13), exact and at gamma 1e-2, 1e-6, 1e-10, 1e-14, the subnormals
+1e-320 and 5e-324, 0 and nan; ``sweep-gamma`` for every kind; ``sweep-r``
+exact and at gamma 1e-3, 1e-8, 1e-14 and 1e-320.  They run over random pairs
+of dims 3 to 40 in both directions, plus a mutually singular pair, a pair with
+a degenerate base (``flat``: an eigenvalue of 1e-13, below the clip
+threshold, so its exact values report ``Degenerate`` and its regularized ones
+stay finite) and an ill-conditioned pair whose regularized values warn
+``IllConditioned``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import warnings
 
 KINDS = (("kl", None), ("bhatt", None), ("hellinger", None),
          ("renyi", "1e-13"), ("renyi", "0.3"), ("renyi", "0.9"), ("renyi", "0.9999999999999"))
-DIV_GAMMAS = (None, "1e-2", "1e-6", "1e-10", "1e-14", "0", "nan")
-SWEEP_R_GAMMAS = ("0", "1e-3", "1e-8", "1e-14")
+DIV_GAMMAS = (None, "1e-2", "1e-6", "1e-10", "1e-14", "1e-320", "5e-324", "0", "nan")
+SWEEP_R_GAMMAS = ("0", "1e-3", "1e-8", "1e-14", "1e-320")
 R_GRIDS = (("0.05", "0.95", "5"), ("1e-13", "0.9999999999999", "3"))
 
 # name -> gen arguments (the output path is appended)

@@ -17,10 +17,6 @@ class EigFailure(GaussDivError):
     """An eigendecomposition failed to converge or returned garbage."""
 
 
-class NotShifted(GaussDivError):
-    """The scalar shift is zero or negative where a positive one is required."""
-
-
 class NotPositive(GaussDivError):
     """An operator required to be positive definite is not."""
 

@@ -114,6 +114,8 @@ class GaussianPair:
     terms: each measure's ``eigenvalues`` give the shifted log-determinants, and
     ``mu.spectrum``, ``mu.cov = U diag(lambda) U^T``, gives the trace and quadratic
     form as O(n) sums of ``g = U^T (m_nu - m_mu)`` and ``d = diag(U^T C_nu U)``.
+    Orders routed to the reverse KL limit, near order 0, and the exact order 0
+    read the mirror pair ``(mu, nu)``, built once and kept; its mirror is this pair.
     Every other order takes Cholesky factors at its gamma: of ``C_nu + gamma I``
     and ``C_mu + gamma I`` (log-determinants cached per gamma) and of the shifted
     blend ``(1-r) C_nu + r C_mu + gamma I``.
@@ -133,8 +135,8 @@ class GaussianPair:
             raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
         _warn_ill_conditioned(lam)
         try:
-            return np.tril(scipy.linalg.cho_factor(self.mu.cov.entries, lower=True)[0])
-        except scipy.linalg.LinAlgError as exc:
+            return np.tril(_shifted_cholesky(self.mu.cov.entries, 0.0)[0])
+        except NotPositive as exc:
             raise Degenerate("matrix has an eigenvalue at or below the clip threshold") from exc
 
     @cached_property
@@ -170,6 +172,13 @@ class GaussianPair:
         return scipy.linalg.solve_triangular(self.base_factor, v, lower=True, trans="T")
 
     @cached_property
+    def _mirror(self) -> "GaussianPair":
+        """The pair ``(mu, nu)``, whose own mirror is this pair."""
+        mirror = GaussianPair(self.mu, self.nu)
+        mirror._mirror = self
+        return mirror
+
+    @cached_property
     def _kl_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``diag(U^T C_mu U)``, ``g = U^T (m_nu - m_mu)`` and ``d = diag(U^T C_nu U)``.
 
@@ -197,7 +206,7 @@ class GaussianPair:
         alpha = 2.0 * r - 1.0
         path = _endpoint_path(alpha)
         if path is LogDetPath.LIMIT_NEG1:
-            return GaussianPair(self.mu, self.nu).regularized_renyi(1.0, gamma)
+            return self._mirror.regularized_renyi(1.0, gamma)
         gamma = float(gamma)
         if not math.isfinite(gamma) or gamma <= 0:
             raise NotPositive(f"gamma must be strictly positive, got {gamma}")
@@ -219,6 +228,9 @@ class GaussianPair:
         ld_mu = _shifted_logdet(self.mu.eigenvalues, gamma)
         lam, proj, d = self._kl_terms
         shifted = lam + gamma
+        # _shifted_logdet's rule times gamma, which cannot overflow: a quotient can round below 0.
+        if shifted.size and float(np.min(shifted)) <= SINGULAR_MARGIN * gamma:
+            raise NotPositive("shifted operator is not positive definite")
         trace = float(np.sum((d + gamma) / shifted)) - self.nu.dim
         result = _kl_limit(alpha, path, ld_nu, ld_mu, trace, gamma, gamma)
         _warn_ill_conditioned(shifted)
@@ -319,7 +331,7 @@ def exact_renyi(
         return exact_kl(nu, mu, data=data)
     data = _equivalent_data(nu, mu, data)
     if r == 0.0:
-        return exact_kl(mu, nu)
+        return exact_kl(mu, nu, data=data._mirror)
     a = data.s_spectrum.eigenvalues
     weights = 1.0 - (1.0 - r) * a
     if weights.size and float(np.min(weights)) <= SINGULAR_MARGIN:
@@ -416,7 +428,8 @@ def regularized_kl(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float) -> fl
     """Regularized KL: quadratic form in ``(C_mu + gamma I)^{-1}`` plus half the
     alpha = 1 log-det divergence of the shifted covariances.
 
-    Finite for every PSD covariance pair and every ``gamma > 0``; converges to
+    Finite for every PSD covariance pair and every ``gamma > 0``, or ``NotPositive``
+    where an eigenvalue of ``C_mu`` rounds to ``-gamma`` or below; converges to
     :func:`exact_kl` as ``gamma -> 0`` for equivalent pairs.  Warns
     :class:`~gaussdiv.errors.IllConditioned` when ``C_mu + gamma I`` has a
     condition number beyond ``CONDITION_WARN``.

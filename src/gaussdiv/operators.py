@@ -33,7 +33,6 @@ from .errors import (
     NonFinite,
     NotPositive,
     NotPSD,
-    NotShifted,
 )
 
 
@@ -93,16 +92,6 @@ class TraceClassBlock:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, "block": self.entries.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceClassBlock":
-        block = cls(data["block"])
-        if block.dim != int(data["dim"]):
-            raise ValueError("declared dim does not match block shape")
-        return block
-
     def __repr__(self) -> str:
         return f"TraceClassBlock(dim={self.dim})"
 
@@ -133,21 +122,6 @@ class ShiftedOperator:
     @property
     def dim(self) -> int:
         return self.block.shape[0]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product ``(block + shift*I) v`` on the finite carrier."""
-        v = np.asarray(v, dtype=float)
-        return self.block @ v + self.shift * v
-
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, "block": self.block.tolist(), "shift": self.shift}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShiftedOperator":
-        op = cls(np.array(data["block"], dtype=float), float(data["shift"]))
-        if op.dim != int(data["dim"]):
-            raise ValueError("declared dim does not match block shape")
-        return op
 
     def __repr__(self) -> str:
         return f"ShiftedOperator(dim={self.dim}, shift={self.shift!r})"
@@ -204,15 +178,14 @@ def ext_fredholm_logdet(op: ShiftedOperator) -> float:
 
     Raises
     ------
-    NotShifted
-        if ``shift <= 0``.
     NotPositive
-        if the Cholesky factorization of a symmetric ``block + c I`` fails, or if
-        any ``1 + tau_k / c`` of a nonsymmetric block is at or below ``SINGULAR_MARGIN``.
+        if ``shift <= 0``, if the Cholesky factorization of a symmetric
+        ``block + c I`` fails, or if any ``1 + tau_k / c`` of a nonsymmetric block
+        is at or below ``SINGULAR_MARGIN``.
     """
     c = op.shift
     if c <= 0:
-        raise NotShifted("extended determinant requires a strictly positive shift")
+        raise NotPositive("extended determinant requires a strictly positive shift")
     if _is_symmetric(op.block):
         return _shifted_cholesky(op.block, c)[1] - (op.dim - 1) * float(np.log(c))
     return _shifted_logdet(_general_eigvals(op.block), c)
@@ -222,7 +195,7 @@ def _shifted_cholesky(matrix: np.ndarray, shift: float) -> tuple[np.ndarray, flo
     """Lower Cholesky factor of ``matrix + shift I`` (only the lower triangle of ``matrix`` is
     read) and its log-determinant.  The package's one positivity rule for symmetric
     operators: :class:`NotPositive` exactly when the factorization fails."""
-    shifted = matrix.copy()
+    shifted = np.array(matrix, order="F")  # LAPACK's layout, so the factorization runs in place
     shifted.flat[:: shifted.shape[0] + 1] += shift
     try:
         factor = scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True)[0]
@@ -353,18 +326,20 @@ def _warn_ill_conditioned(lam: np.ndarray) -> None:
 def _for_row_blocks(rows: int, width: int, fill) -> None:
     """Call ``fill(start, stop)`` over consecutive row ranges covering ``range(rows)``.
 
-    A range holds a multiple of 12 rows, about ``_BLOCK_VALUES`` values of
-    ``width`` each, and the last range takes the remainder.  With one BLAS
-    thread, every row of a range's matmul then rounds as in one call over all
-    rows: 12 is a multiple of Philox's four words per step and of the row
-    panels of OpenBLAS's AVX-512 dgemm, and a split job has no short range,
-    which BLAS would multiply with its small-matrix or one-row kernels.
-    The ranges run on up to one thread per CPU of the process, the calling
-    thread among them; with one range or one CPU it runs them all, in order.
-    numpy ufuncs, Philox and BLAS release the GIL.  Every thread is joined
-    before the first exception of ``fill`` propagates.  ``fill`` writes
-    disjoint rows and calls no traced entry point: no public ``gaussdiv``
-    function and no ``numpy.linalg`` or ``scipy.linalg`` one.
+    It serves the two Monte-Carlo passes, ``lab.sample_gaussian`` and
+    ``gaussian.log_radon_nikodym_batch``.  A range holds a multiple of 12
+    rows, about ``_BLOCK_VALUES`` values of ``width`` each, and the last range
+    takes the remainder.  With one BLAS thread, every row of a range's matmul
+    then rounds as in one call over all rows: 12 is a multiple of Philox's
+    four words per step and of the row panels of OpenBLAS's AVX-512 dgemm, and
+    a split job has no short range, which BLAS would multiply with its
+    small-matrix or one-row kernels.  The ranges run on up to one thread per
+    CPU of the process, the calling thread among them; with one range or one
+    CPU it runs them all, in order.  numpy ufuncs, Philox and BLAS release the
+    GIL.  Every thread is joined before the first exception of ``fill``
+    propagates.  ``fill`` writes disjoint rows and calls no traced entry
+    point: no public ``gaussdiv`` function and no ``numpy.linalg`` or
+    ``scipy.linalg`` one.
     """
     step = max(12, _BLOCK_VALUES // max(width, 1) // 12 * 12)
     count = max(rows // step, 1 if rows else 0)

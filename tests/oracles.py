@@ -10,6 +10,7 @@ rather than the same arithmetic twice.  The one exception,
 
 import mpmath
 import numpy as np
+import scipy.stats
 
 from gaussdiv import GaussianMeasure, ShiftedOperator
 
@@ -35,6 +36,14 @@ def rand_measure(rng, dim, lo=0.1, hi=2.0, mean_scale=0.5):
 
 def rand_shifted(rng, dim, lo=0.1, hi=2.0, shift=1.0):
     return ShiftedOperator(rand_spd(rng, dim, lo, hi), shift)
+
+
+def rounded_zero_pair():
+    """``N(0.1, I)`` against a dim-4 base with eigenvalues (1, 2, 0, 3) in a Haar frame: the
+    zero comes back as the Rayleigh quotient -4.6e-17."""
+    v = scipy.stats.ortho_group.rvs(4, random_state=0)
+    mu = GaussianMeasure(np.zeros(4), (v * [1.0, 2.0, 0.0, 3.0]) @ v.T)
+    return GaussianMeasure(0.1 * np.ones(4), np.eye(4)), mu
 
 
 def perturbed_pair(rng, dim, s_radius=0.5, mean_scale=0.4):

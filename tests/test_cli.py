@@ -7,6 +7,7 @@ import pytest
 
 import gaussdiv as gd
 from gaussdiv.cli import main
+from oracles import rounded_zero_pair
 
 
 @pytest.fixture
@@ -158,6 +159,22 @@ class TestDiv:
         assert capsys.readouterr().err.startswith("error:")
         assert main(["div", "--kind", "kl", "--gamma", "1e-12", *pair]) == 0
         assert float(capsys.readouterr().out) == gd.regularized_kl(nu, unit, 1e-12)
+
+    def test_gamma_below_a_rounded_zero_eigenvalue_exits_2(self, tmp_path, capsys):
+        nu, mu = rounded_zero_pair()
+        paths = [str(tmp_path / "nu.json"), str(tmp_path / "mu.json")]
+        for measure, path in zip((nu, mu), paths):
+            with open(path, "w") as handle:
+                json.dump(measure.to_dict(), handle)
+        pair = ["--nu", paths[0], "--mu", paths[1]]
+        with pytest.warns(gd.IllConditioned):
+            assert main(["div", "--kind", "kl", "--gamma", "1e-16", *pair]) == 0
+        assert float(capsys.readouterr().out) > 0.0
+        for gamma in ("1e-18", "1e-300", "1e-320"):
+            assert main(["div", "--kind", "kl", "--gamma", gamma, *pair]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: shifted operator is not positive definite\n"
 
     def test_singular_pair_regularized_is_finite(self, singular_files, capsys):
         nu_path, mu_path = singular_files

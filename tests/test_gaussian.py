@@ -18,6 +18,7 @@ from oracles import (
     perturbed_pair,
     rand_measure,
     renyi_closed,
+    rounded_zero_pair,
 )
 
 HALF = gd.GaussianMeasure(np.zeros(1), np.array([[0.5]]))
@@ -404,6 +405,17 @@ class TestRegularized:
         eye = 1e-12 * np.eye(2)
         want = kl_closed(nu.mean, nu.cov.entries + eye, unit.mean, unit.cov.entries + eye)
         assert gd.regularized_kl(nu, unit, 1e-12) == pytest.approx(want, rel=1e-12)
+
+    def test_kl_limit_rejects_a_base_eigenvalue_rounded_below_minus_gamma(self):
+        nu, mu = rounded_zero_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", gd.IllConditioned)
+            values = [gd.regularized_kl(nu, mu, g) for g in (1e-12, 1e-14, 1e-16)]
+            assert 0.0 < values[0] < values[1] < values[2] < math.inf
+            for gamma in (1e-18, 1e-300, 1e-320):
+                for r, (first, base) in ((1.0, (nu, mu)), (gd.ENDPOINT_MARGIN / 4, (mu, nu))):
+                    with pytest.raises(gd.NotPositive, match="not positive definite"):
+                        gd.regularized_renyi(first, base, r, gamma)
 
     def test_ill_conditioned_shift_warns(self):
         # The inverted C + gamma I has condition (1 + gamma) / gamma: beyond 1e12

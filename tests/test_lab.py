@@ -1,5 +1,6 @@
 """Experiment harness: seeding, synthetic measures, Monte-Carlo oracles, sweeps, CSV."""
 
+import functools
 import math
 import warnings
 
@@ -271,6 +272,27 @@ class TestSweeps:
                 assert rec.regularized == gd.regularized_divergence(
                     self.nu, self.mu, kind, rec.param, r
                 )
+
+    @pytest.mark.parametrize("r", [1e-13, 1.0 - 1e-13])
+    def test_gamma_sweep_next_to_an_endpoint_reads_the_kl_terms_once(self, monkeypatch, r):
+        # Orders next to 0 take the reverse KL limit, which must come from one mirror pair
+        # for the whole grid, as orders next to 1 take the KL limit from the pair itself.
+        evaluations = []
+        compute = gd.GaussianPair._kl_terms.func
+
+        def counted(pair):
+            evaluations.append(pair)
+            return compute(pair)
+
+        kl_terms = functools.cached_property(counted)
+        kl_terms.__set_name__(gd.GaussianPair, "_kl_terms")
+        monkeypatch.setattr(gd.GaussianPair, "_kl_terms", kl_terms)
+        counts = []
+        for points in (3, 8):
+            evaluations.clear()
+            gd.sweep_gamma(self.nu, self.mu, "renyi", np.geomspace(1e-1, 1e-8, points), r)
+            counts.append(len(evaluations))
+        assert counts == [1, 1]
 
     def test_gamma_sweep_renyi_requires_order(self):
         grid = np.array([1e-2, 1e-3])

@@ -37,19 +37,8 @@ class TestTraceClassBlock:
         with pytest.raises(gd.NonFinite):
             gd.TraceClassBlock([[np.nan]])
 
-    def test_round_trip(self):
-        block = gd.TraceClassBlock([[1.0, 0.25], [0.25, 2.0]])
-        again = gd.TraceClassBlock.from_dict(block.to_dict())
-        assert_allclose(again.entries, block.entries)
-        with pytest.raises(ValueError):
-            gd.TraceClassBlock.from_dict({"dim": 3, "block": [[1.0]]})
-
 
 class TestShiftedOperator:
-    def test_apply(self):
-        op = gd.ShiftedOperator(np.array([[1.0, 0.0], [0.0, 2.0]]), 0.5)
-        assert_allclose(op.apply([1.0, 1.0]), [1.5, 2.5])
-
     def test_nonsymmetric_block_kept_verbatim(self):
         block = np.array([[0.0, 1.0], [0.0, 0.0]])
         op = gd.ShiftedOperator(block, 1.0)
@@ -58,12 +47,6 @@ class TestShiftedOperator:
     def test_rejects_nonfinite_shift(self):
         with pytest.raises(gd.NonFinite):
             gd.ShiftedOperator(np.zeros((1, 1)), math.inf)
-
-    def test_round_trip(self):
-        op = gd.ShiftedOperator(np.array([[1.0, 2.0], [0.5, 0.0]]), 1.5)
-        again = gd.ShiftedOperator.from_dict(op.to_dict())
-        assert_allclose(again.block, op.block)
-        assert again.shift == op.shift
 
 
 class TestExtendedTrace:
@@ -105,9 +88,9 @@ class TestFredholmLogdet:
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(rhs))
 
     def test_requires_positive_shift(self):
-        with pytest.raises(gd.NotShifted):
+        with pytest.raises(gd.NotPositive, match="strictly positive shift"):
             gd.ext_fredholm_logdet(gd.ShiftedOperator(np.eye(2), 0.0))
-        with pytest.raises(gd.NotShifted):
+        with pytest.raises(gd.NotPositive, match="strictly positive shift"):
             gd.ext_fredholm_logdet(gd.ShiftedOperator(np.eye(2), -1.0))
 
     def test_rejects_nonpositive_operator(self):

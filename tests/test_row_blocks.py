@@ -1,17 +1,19 @@
 """Row-block sampling and log density ratios against frozen serial references.
 
-``standard_normal``, ``sample_gaussian`` and ``log_radon_nikodym_batch`` fill
-their outputs in row blocks, on as many threads as the process has CPUs.  The
-serial versions they replaced are frozen in this file.  Normals pass through
-no BLAS, so they must equal their frozen copy byte for byte here.  Samples and
+``sample_gaussian`` and ``log_radon_nikodym_batch`` fill their outputs in row
+blocks, on as many threads as the process has CPUs; each block of samples
+draws its own window of the normal sequence (``lab._normals``).
+``standard_normal`` draws in one serial pass.  The serial versions are frozen
+in this file.  Normals pass through no BLAS, so ``standard_normal`` and the
+block windows must equal their frozen copy byte for byte here.  Samples and
 log density ratios pass through BLAS, whose rounding depends on its own thread
 count, so they are compared byte for byte in a subprocess with BLAS pinned to
-one thread, and to relative 1e-13 here.  The byte comparisons run at three
-block sizes: the default, a small one and one block for the whole job.  The small
-block for normals is the smallest, 12 rows.  For samples and log density
-ratios it is 2**14 values: OpenBLAS multiplies blocks of a few rows with its
-small-matrix kernels, which round differently from the kernels of one large
-call, so with BLAS in the loop 12-row blocks are not bit-identical.
+one thread, and to relative 1e-13 here.  The byte comparisons of the blocks run
+at three block sizes: the default, a small one and one block for the whole job.
+The small block for normals is the smallest, 12 rows.  For samples and log
+density ratios it is 2**14 values: OpenBLAS multiplies blocks of a few rows
+with its small-matrix kernels, which round differently from the kernels of one
+large call, so with BLAS in the loop 12-row blocks are not bit-identical.
 """
 
 import functools
@@ -79,6 +81,10 @@ NORMAL_SHAPES = (
     (70_001, 5), (21_858, 13), (1_311, 201),
 )
 
+# (rows, width) of the block windows: widths below 4, not divisible by 4, and
+# 200 and 201; each job splits into several ranges of the default block size.
+WINDOW_CASES = ((524_291, 1), (70_001, 13), (5_000, 200), (5_000, 201))
+
 # (dim, n): n = 1 and 1-D measures, one inline block, and several blocks whose
 # remainder joins the last one, at widths below 4, not divisible by 4 and at
 # the benchmark's dim 200.
@@ -94,6 +100,18 @@ def _pair(dim):
     nu = gd.gen_measure(gd.SpectrumFamily.power_law(dim, 2.1), 3, mean_scale=0.1)
     mu = gd.gen_measure(gd.SpectrumFamily.power_law(dim, 2.0), 3)
     return nu, mu
+
+
+def block_normals(seed, rows, width):
+    """``rows x width`` normals drawn one row block at a time, as ``sample_gaussian`` draws them."""
+    out = np.empty((rows, width))
+
+    def fill(start, stop):
+        draws = lab._normals(seed, STREAM_SAMPLE, start * width, (stop - start) * width)
+        out[start:stop] = draws.reshape(stop - start, width)
+
+    _for_row_blocks(rows, width, fill)
+    return out
 
 
 def _sample_and_rn(dim, n, seed):
@@ -129,6 +147,7 @@ def pinned_mismatches() -> list[str]:
     ("12 rows", 7), ("12 rows", 2**64 - 1),  # tens of thousands of blocks each
 ])
 def test_standard_normal_equals_the_serial_version_byte_for_byte(monkeypatch, blocks, seed):
+    # standard_normal reads no block size; the windows that sampling draws per block do.
     monkeypatch.setattr(operators, "_BLOCK_VALUES", NORMAL_BLOCK_VALUES[blocks])
     for shape in NORMAL_SHAPES:
         got = gd.standard_normal(seed, STREAM_SAMPLE, shape)
@@ -136,6 +155,9 @@ def test_standard_normal_equals_the_serial_version_byte_for_byte(monkeypatch, bl
         assert got.shape == want.shape and got.dtype == want.dtype, shape
         assert got.tobytes() == want.tobytes(), shape
         assert got.flags.c_contiguous
+    for rows, width in WINDOW_CASES:
+        want = frozen_standard_normal(seed, STREAM_SAMPLE, (rows, width))
+        assert block_normals(seed, rows, width).tobytes() == want.tobytes(), (rows, width)
 
 
 def test_samples_and_log_rn_equal_the_serial_versions_with_one_blas_thread():

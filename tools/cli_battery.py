@@ -20,7 +20,11 @@ of dims 3 to 40 in both directions, plus a mutually singular pair, a pair with
 a degenerate base (``flat``: an eigenvalue of 1e-13, below the clip
 threshold, so its exact values report ``Degenerate`` and its regularized ones
 stay finite) and an ill-conditioned pair whose regularized values warn
-``IllConditioned``.
+``IllConditioned``.  ``rn-check --n 2000`` runs on the built-in pair at seeds
+7 and 42, on the pairs ``p3/e3``, ``p8/e8`` and ``p40/e40`` (the last fails its
+normalization check, exit 1), on the singular and the degenerate pair, and
+with ``--nu`` alone.  ``bayes`` runs on two small model files that the battery
+writes and on one whose noise covariance is not positive definite.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -56,16 +61,29 @@ MEASURES = {
 }
 PAIRS = [(f"p{d}", f"e{d}") for d in (3, 8, 20, 40)] + [(f"e{d}", f"p{d}") for d in (3, 8, 20, 40)]
 PAIRS += [("thin", "unit"), ("unit", "flat"), ("stiff", "soft"), ("soft", "stiff")]
+RN_PAIRS = [("p3", "e3"), ("p8", "e8"), ("p40", "e40"), ("thin", "unit"), ("unit", "flat")]
+
+# name -> model JSON for ``bayes``
+_PRIOR = {"dim": 3, "mean": [0.1, 0.0, -0.2],
+          "cov": [[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.5]]}
+_MODEL2 = {"forward": [[1.0, 0.0, 0.5], [0.0, 2.0, -1.0]],
+           "noise_cov": [[0.05, 0.01], [0.01, 0.2]], "prior": _PRIOR, "observation": [0.3, -0.6]}
+MODELS = {
+    "model1": {"forward": [[1.0, 0.5, -0.25]], "noise_cov": [[0.1]], "prior": _PRIOR,
+               "observation": [0.4]},
+    "model2": _MODEL2,
+    "noisy": {**_MODEL2, "noise_cov": [[0.05, 0.0], [0.0, -0.01]]},
+}
 
 
 def _calls(tmp: str):
-    """Yield each call's arguments and the file it writes (None for ``div``)."""
+    """Yield each call's arguments and the file it writes (None if it writes none)."""
     for name, args in MEASURES.items():
         path = os.path.join(tmp, f"{name}.json")
         yield ["gen", *args, "--out", path], path
     out = os.path.join(tmp, "out.csv")
     for nu, mu in PAIRS:
-        pair = ["--nu", os.path.join(tmp, f"{nu}.json"), "--mu", os.path.join(tmp, f"{mu}.json")]
+        pair = _pair(tmp, nu, mu)
         for kind, r in KINDS:
             order = [] if r is None else ["--r", r]
             for gamma in DIV_GAMMAS:
@@ -77,6 +95,21 @@ def _calls(tmp: str):
             for lo, hi, points in R_GRIDS:
                 grid = ["--from", lo, "--to", hi, "--points", points, "--out", out]
                 yield ["sweep-r", "--gamma", gamma, *pair, *grid], out
+    rn_check = ["rn-check", "--n", "2000", "--seed"]
+    for seed in ("7", "42"):
+        yield [*rn_check, seed], None
+    for nu, mu in RN_PAIRS:
+        yield [*rn_check, "7", *_pair(tmp, nu, mu)], None
+    yield [*rn_check, "7", *_pair(tmp, "p3", "e3")[:2]], None
+    for name, model in MODELS.items():
+        path = os.path.join(tmp, f"{name}.json")
+        with open(path, "w") as handle:
+            json.dump(model, handle)
+        yield ["bayes", "--model", path], None
+
+
+def _pair(tmp: str, nu: str, mu: str) -> list[str]:
+    return ["--nu", os.path.join(tmp, f"{nu}.json"), "--mu", os.path.join(tmp, f"{mu}.json")]
 
 
 def main(argv=None) -> int:

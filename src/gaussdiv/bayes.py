@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimMismatch, NonFinite, NotPositive
-from .gaussian import GaussianMeasure
+from .gaussian import GaussianMeasure, _check_record, _float_array
 from .operators import PSD_CLIP, TraceClassBlock, _shifted_cholesky
 
 
@@ -70,11 +70,15 @@ class LinearGaussianModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearGaussianModel":
+        """The model of a ``{"forward", "noise_cov", "prior", "observation"}`` record; a field
+        of the wrong type raises ``ValueError`` naming it."""
+        _check_record(data, "model")
+        _check_record(data["prior"], "model's prior")
         return cls(
-            np.array(data["forward"], dtype=float),
-            np.array(data["noise_cov"], dtype=float),
+            _float_array(data, "forward"),
+            _float_array(data, "noise_cov"),
             GaussianMeasure.from_dict(data["prior"]),
-            np.array(data["observation"], dtype=float),
+            _float_array(data, "observation"),
         )
 
     def __repr__(self) -> str:

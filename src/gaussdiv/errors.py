@@ -6,7 +6,7 @@ class GaussDivError(Exception):
 
 
 class NonFinite(GaussDivError, ValueError):
-    """Input contains NaN or infinite entries."""
+    """Input contains NaN or infinite entries, or a divergence overflows a double."""
 
 
 class DimMismatch(GaussDivError):

@@ -16,13 +16,15 @@ each exact divergence is a closed-form function of the spectrum of ``S`` and of
 through the base's eigendecomposition, so a KL gamma sweep factorizes once;
 every other regularized order takes Cholesky factors at its ``gamma``.
 Every divergence kind is a Renyi value passed through a transform, dispatched
-by :func:`exact_divergence` and :func:`regularized_divergence`.
+by :func:`exact_divergence` and :func:`regularized_divergence`.  A value that
+overflows a double (a mean offset near 1e160, say) raises
+:class:`~gaussdiv.errors.NonFinite`: ``inf`` is never returned.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 import scipy.linalg
@@ -41,6 +43,36 @@ from .operators import (
     _warn_ill_conditioned,
     sym_eigen,
 )
+
+
+def _finite_result(func):
+    """``func`` with numpy's overflow warnings silenced and its value checked instead: a
+    divergence that overflows a double raises :class:`~gaussdiv.errors.NonFinite`, so that
+    ``inf`` stays the outcome of a mutually singular pair alone."""
+
+    @wraps(func)
+    def checked(*args, **kwargs) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = func(*args, **kwargs)
+        if not math.isfinite(value):
+            raise NonFinite(f"the divergence does not fit in a double (computed {value})")
+        return value
+
+    return checked
+
+
+def _check_record(data, what: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be an object with named fields, got {type(data).__name__}")
+
+
+def _float_array(data: dict, field: str) -> np.ndarray:
+    """``data[field]`` as a float array; entries that are not numbers raise ``ValueError``
+    naming the field."""
+    try:
+        return np.array(data[field], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field {field!r} is not an array of numbers: {exc}") from exc
 
 
 class GaussianMeasure:
@@ -90,8 +122,15 @@ class GaussianMeasure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianMeasure":
-        measure = cls(data["mean"], np.array(data["cov"], dtype=float))
-        if measure.dim != int(data["dim"]):
+        """The measure of a ``{"dim", "mean", "cov"}`` record; a field of the wrong type
+        raises ``ValueError`` naming it."""
+        _check_record(data, "measure")
+        dim = data["dim"]
+        integral = isinstance(dim, int) or (isinstance(dim, float) and dim.is_integer())
+        if isinstance(dim, bool) or not integral:
+            raise ValueError(f"field 'dim' must be an integer, got {dim!r}")
+        measure = cls(_float_array(data, "mean"), _float_array(data, "cov"))
+        if measure.dim != dim:
             raise ValueError("declared dim does not match mean/cov shape")
         return measure
 
@@ -193,6 +232,7 @@ class GaussianPair:
         d = np.einsum("ij,ij->j", u, self.nu.cov.entries @ u)
         return lam, u.T @ (self.nu.mean - self.mu.mean), d
 
+    @_finite_result
     def regularized_renyi(self, r: float, gamma: float) -> float:
         """:func:`regularized_renyi` of the pair: the quadratic form plus half the
         alpha log-det divergence, ``alpha = 2r - 1``, of the shifted covariances.
@@ -292,6 +332,7 @@ def _check_order(r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@_finite_result
 def exact_kl(
     nu: GaussianMeasure,
     mu: GaussianMeasure,
@@ -309,6 +350,7 @@ def exact_kl(
     return 0.5 * float(data.delta @ data.delta) + cov_term
 
 
+@_finite_result
 def exact_renyi(
     nu: GaussianMeasure,
     mu: GaussianMeasure,

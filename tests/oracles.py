@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import scipy.stats
 
-from gaussdiv import GaussianMeasure, ShiftedOperator
+from gaussdiv import GaussianMeasure, ShiftedOperator, SpectrumFamily, gen_measure
 
 
 def rand_orthogonal(rng, dim):
@@ -44,6 +44,13 @@ def rounded_zero_pair():
     v = scipy.stats.ortho_group.rvs(4, random_state=0)
     mu = GaussianMeasure(np.zeros(4), (v * [1.0, 2.0, 0.0, 3.0]) @ v.T)
     return GaussianMeasure(0.1 * np.ones(4), np.eye(4)), mu
+
+
+def far_pair(offset=1e160):
+    """A dim-4 equivalent pair whose means lie about ``offset`` apart (``gen`` seeds 4 and 104):
+    at 1e160 every divergence of the pair overflows a double."""
+    nu = gen_measure(SpectrumFamily.power_law(4, 1.5), 4, offset)
+    return nu, gen_measure(SpectrumFamily.exponential(4, 0.4), 104)
 
 
 def perturbed_pair(rng, dim, s_radius=0.5, mean_scale=0.4):

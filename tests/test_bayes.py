@@ -174,3 +174,20 @@ class TestModelValidation:
             gd.LinearGaussianModel([[np.nan]], [[1.0]], prior, [0.0])
         with pytest.raises(gd.NonFinite):
             gd.LinearGaussianModel([[1.0]], [[1.0]], prior, [np.inf])
+
+    @pytest.mark.parametrize("change, field", [
+        ({"forward": {}}, "'forward'"),
+        ({"noise_cov": [[{}]]}, "'noise_cov'"),
+        ({"observation": {"y": 1.0}}, "'observation'"),
+        ({"prior": [1.0]}, "prior"),
+        ({"prior": {"dim": None, "mean": [0.0], "cov": [[1.0]]}}, "'dim'"),
+    ])
+    def test_from_dict_names_the_wrong_field(self, change, field):
+        record = {**scalar_model().to_dict(), **change}
+        with pytest.raises(ValueError, match=field):
+            gd.LinearGaussianModel.from_dict(record)
+
+    @pytest.mark.parametrize("record", ["model", [1.0], None])
+    def test_from_dict_needs_an_object(self, record):
+        with pytest.raises(ValueError, match="model"):
+            gd.LinearGaussianModel.from_dict(record)

@@ -1,13 +1,15 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+import struct
+import warnings
 
 import numpy as np
 import pytest
 
 import gaussdiv as gd
-from gaussdiv.cli import main
-from oracles import rounded_zero_pair
+from gaussdiv.cli import _load_json, main
+from oracles import far_pair, rounded_zero_pair
 
 
 @pytest.fixture
@@ -294,3 +296,141 @@ class TestRnCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+
+def _bits(value):
+    """``value`` with every float replaced by its bit pattern, so ``-0.0 != 0.0``."""
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+class TestDecoder:
+    def test_numbers_bit_identical_to_json_load(self, tmp_path):
+        rng = np.random.default_rng(18)
+        # random bit patterns cover every exponent, subnormals included
+        doubles = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
+        doubles = doubles[np.isfinite(doubles)]
+        subnormals = rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(np.float64)
+        texts = [fmt % x for x in np.concatenate([doubles, subnormals]).tolist()
+                 for fmt in ("%r", "%.17g", "%.20e", "%.5g")]
+        texts += [f"{d}.{rng.integers(10**12, 10**13)}{rng.integers(10**11, 10**12)}e{e}"
+                  for d, e in zip(rng.integers(1, 10, 2000), rng.integers(-330, 300, 2000))]
+        texts += ["0.0", "-0.0", "0", "-0", "5e-324", "2.2250738585072014e-308", "1e-400",
+                  "1.7976931348623157e308", "9223372036854775807", "-9223372036854775808",
+                  "123456789", "-1", "1E5", "1e+5"]
+        texts = [t for t in texts if np.isfinite(float(t))]  # 1.7977e+308 rounds to inf
+        path = _write(tmp_path, "corpus.json", '{"values": [' + ", ".join(texts) + '], "n": -0.0}')
+        with open(path) as handle:
+            assert _bits(_load_json(path)) == _bits(json.load(handle))
+
+    def test_gen_file_bit_identical_to_json_load(self, tmp_path):
+        path = str(tmp_path / "m.json")
+        assert main(["gen", "--family", "powerlaw", "--dim", "200", "--seed", "3",
+                     "--mean-scale", "0.3", "--out", path]) == 0
+        with open(path) as handle:
+            assert _bits(_load_json(path)) == _bits(json.load(handle))
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 1, "mean": [NaN], "cov": [[1.0]]}',
+        '{"dim": 1, "mean": [Infinity], "cov": [[1.0]]}',
+        '{"dim": 1, "mean": [1e400], "cov": [[1.0]]}',
+        '{"dim": 1, "mean": [1' + "0" * 400 + '], "cov": [[1.0]]}',
+        '{"dim": 1, "mean": [0.0], "cov": [[1.0]],}',
+        "",
+    ], ids=["NaN", "Infinity", "1e400", "400-digit integer", "trailing comma", "empty"])
+    def test_files_that_are_not_strict_json_exit_2(self, tmp_path, capsys, text):
+        nu = _write(tmp_path, "nu.json", text)
+        mu = _write(tmp_path, "mu.json", '{"dim": 1, "mean": [0.0], "cov": [[1.0]]}')
+        assert main(["div", "--kind", "kl", "--nu", nu, "--mu", mu]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+class TestWrongShapeFiles:
+    UNIT = '"cov": [[1.0, 0.0], [0.0, 1.0]]'
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"dim": 2, "mean": {}, ' + UNIT + '}', "'mean'"),
+        ('{"dim": null, "mean": [0.0, 0.0], ' + UNIT + '}', "'dim'"),
+        ('{"dim": [2], "mean": [0.0, 0.0], ' + UNIT + '}', "'dim'"),
+        ('{"dim": 2.5, "mean": [0.0, 0.0], ' + UNIT + '}', "'dim'"),
+        ('{"dim": 2, "mean": [0.0, 0.0], "cov": [[1.0, {}], [0.0, 1.0]]}', "'cov'"),
+        ("[1, 2]", "measure"),
+    ], ids=["mean object", "dim null", "dim list", "dim fraction", "cov entry object", "list"])
+    def test_measure_file_exits_2_naming_the_field(self, tmp_path, capsys, text, field):
+        nu = _write(tmp_path, "nu.json", text)
+        mu = _write(tmp_path, "mu.json", '{"dim": 2, "mean": [0.0, 0.0], ' + self.UNIT + '}')
+        assert main(["div", "--kind", "kl", "--nu", nu, "--mu", mu]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field in err
+
+    @pytest.mark.parametrize("model, field", [
+        ("model", "model"),
+        ({"forward": {}, "noise_cov": [[1.0]], "observation": [0.0],
+          "prior": {"dim": 1, "mean": [0.0], "cov": [[1.0]]}}, "'forward'"),
+        ({"forward": [[1.0]], "noise_cov": [[1.0]], "observation": [0.0], "prior": [1.0]},
+         "prior"),
+    ], ids=["string", "forward object", "prior list"])
+    def test_model_file_exits_2_naming_the_field(self, tmp_path, capsys, model, field):
+        path = _write(tmp_path, "model.json", json.dumps(model))
+        assert main(["bayes", "--model", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field in err
+
+
+class TestOverflow:
+    """A pair whose means lie about 1e160 apart: every divergence overflows a double."""
+
+    @pytest.fixture
+    def far_files(self, tmp_path):
+        paths = []
+        for name, measure in zip(("nu", "mu"), far_pair()):
+            paths.append(_write(tmp_path, f"{name}.json", json.dumps(measure.to_dict())))
+        return ["--nu", paths[0], "--mu", paths[1]]
+
+    def _run(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the divergence does not fit in a double")
+        return code
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "kl"],
+        ["--kind", "renyi", "--r", "0.5"],
+        ["--kind", "kl", "--gamma", "1e-3"],
+        ["--kind", "renyi", "--r", "0.5", "--gamma", "1e-3"],
+        ["--kind", "hellinger"],
+    ], ids=["kl", "renyi", "kl gamma", "renyi gamma", "hellinger"])
+    def test_div_exits_2(self, far_files, capsys, args):
+        assert self._run(["div", *args, *far_files], capsys) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["sweep-gamma", "--kind", "kl", "--from", "1e-1", "--to", "1e-3"],
+        ["sweep-r", "--gamma", "1e-3", "--from", "0.1", "--to", "0.9"],
+        ["sweep-r", "--gamma", "0", "--from", "0.1", "--to", "0.9"],
+    ], ids=["sweep-gamma", "sweep-r regularized", "sweep-r exact"])
+    def test_sweeps_exit_2_and_write_nothing(self, far_files, tmp_path, capsys, command):
+        out = tmp_path / "sweep.csv"
+        argv = [*command, "--points", "3", "--out", str(out), *far_files]
+        assert self._run(argv, capsys) == 2
+        assert not out.exists()
+
+    def test_rn_check_exits_2_before_sampling(self, far_files, capsys):
+        assert self._run(["rn-check", "--n", "100", "--seed", "1", *far_files], capsys) == 2

@@ -13,6 +13,7 @@ import gaussdiv as gd
 from oracles import (
     bhatt_closed,
     exact_renyi_reference,
+    far_pair,
     hellinger_closed,
     kl_closed,
     perturbed_pair,
@@ -492,6 +493,38 @@ class TestSingularAndDegenerate:
             gd.exact_kl(nu, mu)
 
 
+class TestOverflow:
+    """A divergence too large for a double raises ``NonFinite``, with no numpy warning."""
+
+    CALLS = {
+        "exact kl": lambda nu, mu: gd.exact_kl(nu, mu),
+        "exact renyi": lambda nu, mu: gd.exact_renyi(nu, mu, 0.5),
+        "exact renyi near 0": lambda nu, mu: gd.exact_renyi(nu, mu, 1e-13),
+        "exact hellinger": lambda nu, mu: gd.exact_hellinger(nu, mu),
+        "regularized kl": lambda nu, mu: gd.regularized_kl(nu, mu, 1e-3),
+        "regularized renyi": lambda nu, mu: gd.regularized_renyi(nu, mu, 0.5, 1e-3),
+        "regularized renyi near 0": lambda nu, mu: gd.regularized_renyi(nu, mu, 1e-13, 1e-2),
+        "gamma sweep": lambda nu, mu: gd.sweep_gamma(nu, mu, "kl", [1e-1, 1e-3]),
+        "r sweep": lambda nu, mu: gd.sweep_r(nu, mu, 1e-3, [0.1, 0.9]),
+        "exact r sweep": lambda nu, mu: gd.sweep_r(nu, mu, 0.0, [0.1, 0.9]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_raises_nonfinite(self, name):
+        nu, mu = far_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(gd.NonFinite, match="does not fit in a double"):
+                self.CALLS[name](nu, mu)
+
+    def test_large_but_representable_offset_is_a_value(self):
+        nu, mu = far_pair(1e150)
+        m1, c1, m2, c2 = nu.mean, nu.cov.entries, mu.mean, mu.cov.entries
+        assert gd.exact_kl(nu, mu) == pytest.approx(kl_closed(m1, c1, m2, c2), rel=1e-12)
+        assert gd.exact_renyi(nu, mu, 0.5) == pytest.approx(renyi_closed(m1, c1, m2, c2, 0.5),
+                                                             rel=1e-12)
+
+
 class TestGaussianMeasure:
     def test_rejects_negative_covariance(self):
         with pytest.raises(gd.NotPSD):
@@ -515,3 +548,23 @@ class TestGaussianMeasure:
         assert_allclose(again.cov.entries, m.cov.entries)
         with pytest.raises(ValueError):
             gd.GaussianMeasure.from_dict({"dim": 2, "mean": [0.0], "cov": [[1.0]]})
+
+    @pytest.mark.parametrize("record, field", [
+        ({"dim": 1, "mean": {}, "cov": [[1.0]]}, "'mean'"),
+        ({"dim": 1, "mean": [0.0], "cov": "x"}, "'cov'"),
+        ({"dim": 1, "mean": [10**400], "cov": [[1.0]]}, "'mean'"),
+        ({"dim": None, "mean": [0.0], "cov": [[1.0]]}, "'dim'"),
+        ({"dim": [1], "mean": [0.0], "cov": [[1.0]]}, "'dim'"),
+        ({"dim": True, "mean": [0.0], "cov": [[1.0]]}, "'dim'"),
+        ({"dim": "1", "mean": [0.0], "cov": [[1.0]]}, "'dim'"),
+        ({"dim": 1.5, "mean": [0.0], "cov": [[1.0]]}, "'dim'"),
+        ([1, 2], "measure"),
+        ("measure", "measure"),
+    ])
+    def test_from_dict_names_the_wrong_field(self, record, field):
+        with pytest.raises(ValueError, match=field):
+            gd.GaussianMeasure.from_dict(record)
+
+    def test_from_dict_accepts_an_integral_float_dim(self):
+        measure = gd.GaussianMeasure.from_dict({"dim": 1.0, "mean": [0.0], "cov": [[1.0]]})
+        assert measure.dim == 1

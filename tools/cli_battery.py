@@ -8,8 +8,10 @@ The battery imports ``gaussdiv`` from ``--src`` and calls ``gaussdiv.cli.main``
 in-process.  For every call it prints the arguments, the exit code, stdout,
 stderr, the warnings raised (category and message, without the source
 location, which moves with the code) and the bytes of every file the call
-wrote.  Two commits agree on the whole CLI contract when the outputs of their
-batteries are byte-identical (``cmp``).
+wrote.  An exception that escapes ``main`` is printed in place of the exit
+code, the remaining calls still run, and the battery exits 1.  Two commits
+agree on the whole CLI contract when the outputs of their batteries are
+byte-identical (``cmp``).
 
 The calls: ``gen`` for every measure (``zero``, with a zero eigenvalue, is
 rejected); ``div`` for every kind (Renyi at orders 1e-13, 0.3, 0.9 and
@@ -19,12 +21,18 @@ exact and at gamma 1e-3, 1e-8, 1e-14 and 1e-320.  They run over random pairs
 of dims 3 to 40 in both directions, plus a mutually singular pair, a pair with
 a degenerate base (``flat``: an eigenvalue of 1e-13, below the clip
 threshold, so its exact values report ``Degenerate`` and its regularized ones
-stay finite) and an ill-conditioned pair whose regularized values warn
-``IllConditioned``.  ``rn-check --n 2000`` runs on the built-in pair at seeds
-7 and 42, on the pairs ``p3/e3``, ``p8/e8`` and ``p40/e40`` (the last fails its
-normalization check, exit 1), on the singular and the degenerate pair, and
-with ``--nu`` alone.  ``bayes`` runs on two small model files that the battery
-writes and on one whose noise covariance is not positive definite.
+stay finite), an ill-conditioned pair whose regularized values warn
+``IllConditioned`` and a dim-4 pair whose means lie about 1e160 apart, so
+every divergence overflows a double (``far/near``).  ``rn-check --n 2000``
+runs on the built-in pair at seeds 7 and 42, on the pairs ``p3/e3``, ``p8/e8``
+and ``p40/e40`` (the last fails its normalization check, exit 1), on the
+singular, the degenerate and the far pair, and with ``--nu`` alone.  ``div``
+reads measure files that are not strict JSON (``NaN``, ``Infinity``, ``1e400``,
+a 400-digit integer, a trailing comma, an empty file) or not a measure (a
+``mean`` object, a ``dim`` of null or a list, a top-level list).  ``bayes``
+runs on two small model files that the battery writes, on one whose noise
+covariance is not positive definite, on a JSON string and on a model whose
+``forward`` is an object.
 """
 
 from __future__ import annotations
@@ -58,10 +66,30 @@ MEASURES = {
               "--mean-scale", "0.1"],
     "soft": ["--family", "explicit", "--values", "2,1e-2,1e-8,1e-12", "--seed", "9",
              "--mean-scale", "0.1"],
+    "far": ["--family", "powerlaw", "--dim", "4", "--seed", "4", "--s", "1.5",
+            "--mean-scale", "1e160"],
+    "near": ["--family", "exp", "--dim", "4", "--seed", "104", "--rate", "0.4"],
 }
 PAIRS = [(f"p{d}", f"e{d}") for d in (3, 8, 20, 40)] + [(f"e{d}", f"p{d}") for d in (3, 8, 20, 40)]
-PAIRS += [("thin", "unit"), ("unit", "flat"), ("stiff", "soft"), ("soft", "stiff")]
-RN_PAIRS = [("p3", "e3"), ("p8", "e8"), ("p40", "e40"), ("thin", "unit"), ("unit", "flat")]
+PAIRS += [("thin", "unit"), ("unit", "flat"), ("stiff", "soft"), ("soft", "stiff"), ("far", "near")]
+RN_PAIRS = [("p3", "e3"), ("p8", "e8"), ("p40", "e40"), ("thin", "unit"), ("unit", "flat"),
+            ("far", "near")]
+
+# name -> text of a measure file that is not valid JSON or not a measure; each is
+# read by ``div --kind kl --nu <name> --mu unit``
+_UNIT = '"cov": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]'
+BAD_MEASURES = {
+    "mean_object": '{"dim": 3, "mean": {}, ' + _UNIT + '}',
+    "dim_null": '{"dim": null, "mean": [0.0, 0.0, 0.0], ' + _UNIT + '}',
+    "dim_list": '{"dim": [3], "mean": [0.0, 0.0, 0.0], ' + _UNIT + '}',
+    "top_list": '[1, 2]',
+    "big_int": '{"dim": 3, "mean": [1' + "0" * 400 + ', 0.0, 0.0], ' + _UNIT + '}',
+    "nan": '{"dim": 3, "mean": [NaN, 0.0, 0.0], ' + _UNIT + '}',
+    "infinity": '{"dim": 3, "mean": [Infinity, 0.0, 0.0], ' + _UNIT + '}',
+    "overflow": '{"dim": 3, "mean": [1e400, 0.0, 0.0], ' + _UNIT + '}',
+    "trailing_comma": '{"dim": 3, "mean": [0.0, 0.0, 0.0], ' + _UNIT + ',}',
+    "empty": '',
+}
 
 # name -> model JSON for ``bayes``
 _PRIOR = {"dim": 3, "mean": [0.1, 0.0, -0.2],
@@ -73,6 +101,8 @@ MODELS = {
                "observation": [0.4]},
     "model2": _MODEL2,
     "noisy": {**_MODEL2, "noise_cov": [[0.05, 0.0], [0.0, -0.01]]},
+    "string": "model",
+    "forward_object": {**_MODEL2, "forward": {}},
 }
 
 
@@ -101,6 +131,11 @@ def _calls(tmp: str):
     for nu, mu in RN_PAIRS:
         yield [*rn_check, "7", *_pair(tmp, nu, mu)], None
     yield [*rn_check, "7", *_pair(tmp, "p3", "e3")[:2]], None
+    for name, text in BAD_MEASURES.items():
+        path = os.path.join(tmp, f"bad_{name}.json")
+        with open(path, "w") as handle:
+            handle.write(text)
+        yield ["div", "--kind", "kl", "--nu", path, "--mu", os.path.join(tmp, "unit.json")], None
     for name, model in MODELS.items():
         path = os.path.join(tmp, f"{name}.json")
         with open(path, "w") as handle:
@@ -121,6 +156,7 @@ def main(argv=None) -> int:
 
     if not os.path.abspath(gaussdiv.cli.__file__).startswith(src + os.sep):
         raise SystemExit(f"gaussdiv was imported from {gaussdiv.cli.__file__}, not from {src}")
+    uncaught = 0
     with tempfile.TemporaryDirectory() as tmp:
         for args, written in _calls(tmp):
             if written is not None and os.path.exists(written):
@@ -129,7 +165,11 @@ def main(argv=None) -> int:
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 warnings.simplefilter("always")
-                code = gaussdiv.cli.main(args)
+                try:
+                    code = gaussdiv.cli.main(args)
+                except Exception as exc:  # recorded, and the battery fails at its end
+                    code = f"uncaught {type(exc).__name__}: {exc}"
+                    uncaught += 1
             print("$ gaussdiv " + " ".join(args).replace(tmp, "<tmp>"))
             print(f"exit={code}")
             print("stdout:", stdout.getvalue().replace(tmp, "<tmp>"), sep="\n", end="")
@@ -140,6 +180,9 @@ def main(argv=None) -> int:
                 with open(written, "rb") as handle:
                     print(f"file ({os.path.basename(written)}):")
                     sys.stdout.write(handle.read().decode())
+    if uncaught:
+        print(f"{uncaught} calls raised an exception out of gaussdiv.cli.main", file=sys.stderr)
+        return 1
     return 0
 
 

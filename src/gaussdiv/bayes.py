@@ -73,7 +73,6 @@ class LinearGaussianModel:
         """The model of a ``{"forward", "noise_cov", "prior", "observation"}`` record; a field
         of the wrong type raises ``ValueError`` naming it."""
         _check_record(data, "model")
-        _check_record(data["prior"], "model's prior")
         return cls(
             _float_array(data, "forward"),
             _float_array(data, "noise_cov"),

@@ -18,13 +18,15 @@ every other regularized order takes Cholesky factors at its ``gamma``.
 Every divergence kind is a Renyi value passed through a transform, dispatched
 by :func:`exact_divergence` and :func:`regularized_divergence`.  A value that
 overflows a double (a mean offset near 1e160, say) raises
-:class:`~gaussdiv.errors.NonFinite`: ``inf`` is never returned.
+:class:`~gaussdiv.errors.NonFinite`: ``inf`` is never returned.  The Hellinger
+distance is bounded, so for such a pair it is ``sqrt(2)``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, wraps
+import numbers
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -45,20 +47,20 @@ from .operators import (
 )
 
 
-def _finite_result(func):
-    """``func`` with numpy's overflow warnings silenced and its value checked instead: a
-    divergence that overflows a double raises :class:`~gaussdiv.errors.NonFinite`, so that
-    ``inf`` stays the outcome of a mutually singular pair alone."""
+def _finite_result(compute, transform=float) -> float:
+    """``transform(compute())`` with numpy's overflow warnings silenced and the value
+    checked instead, so that ``inf`` stays the outcome of a mutually singular pair alone.
 
-    @wraps(func)
-    def checked(*args, **kwargs) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = func(*args, **kwargs)
-        if not math.isfinite(value):
-            raise NonFinite(f"the divergence does not fit in a double (computed {value})")
-        return value
-
-    return checked
+    A Renyi value that overflows a double raises :class:`~gaussdiv.errors.NonFinite`
+    unless ``transform`` maps it to a finite value: the Hellinger distance of such a
+    pair is ``sqrt(2)`` to double precision.  A NaN always raises.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        renyi = compute()
+    value = transform(renyi)
+    if math.isnan(renyi) or not math.isfinite(value):
+        raise NonFinite(f"the divergence does not fit in a double (computed {renyi})")
+    return value
 
 
 def _check_record(data, what: str) -> None:
@@ -126,7 +128,7 @@ class GaussianMeasure:
         raises ``ValueError`` naming it."""
         _check_record(data, "measure")
         dim = data["dim"]
-        integral = isinstance(dim, int) or (isinstance(dim, float) and dim.is_integer())
+        integral = isinstance(dim, numbers.Integral) or (isinstance(dim, float) and dim.is_integer())
         if isinstance(dim, bool) or not integral:
             raise ValueError(f"field 'dim' must be an integer, got {dim!r}")
         measure = cls(_float_array(data, "mean"), _float_array(data, "cov"))
@@ -232,7 +234,6 @@ class GaussianPair:
         d = np.einsum("ij,ij->j", u, self.nu.cov.entries @ u)
         return lam, u.T @ (self.nu.mean - self.mu.mean), d
 
-    @_finite_result
     def regularized_renyi(self, r: float, gamma: float) -> float:
         """:func:`regularized_renyi` of the pair: the quadratic form plus half the
         alpha log-det divergence, ``alpha = 2r - 1``, of the shifted covariances.
@@ -242,11 +243,20 @@ class GaussianPair:
         plain log-determinants: the ``log gamma`` tails of the extended ones cancel
         between equal shifts.
         """
+        return _finite_result(lambda: self._renyi(r, gamma))
+
+    def regularized(self, kind: str, gamma: float, r: float | None = None) -> float:
+        """:func:`regularized_divergence` of the pair."""
+        order, transform = _kind_order(kind, r)
+        return _finite_result(lambda: self._renyi(order, gamma), transform)
+
+    def _renyi(self, r: float, gamma: float) -> float:
+        """:meth:`regularized_renyi`, unchecked: a value may overflow to ``inf``."""
         r = _check_order(r)
         alpha = 2.0 * r - 1.0
         path = _endpoint_path(alpha)
         if path is LogDetPath.LIMIT_NEG1:
-            return self._mirror.regularized_renyi(1.0, gamma)
+            return self._mirror._renyi(1.0, gamma)
         gamma = float(gamma)
         if not math.isfinite(gamma) or gamma <= 0:
             raise NotPositive(f"gamma must be strictly positive, got {gamma}")
@@ -275,11 +285,6 @@ class GaussianPair:
         result = _kl_limit(alpha, path, ld_nu, ld_mu, trace, gamma, gamma)
         _warn_ill_conditioned(shifted)
         return 0.5 * float(np.sum(proj * proj / shifted)) + 0.5 * result.value
-
-    def regularized(self, kind: str, gamma: float, r: float | None = None) -> float:
-        """:func:`regularized_divergence` of the pair."""
-        order, transform = _kind_order(kind, r)
-        return transform(self.regularized_renyi(order, gamma))
 
 
 def equivalence_data(nu: GaussianMeasure, mu: GaussianMeasure) -> GaussianPair:
@@ -332,7 +337,6 @@ def _check_order(r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@_finite_result
 def exact_kl(
     nu: GaussianMeasure,
     mu: GaussianMeasure,
@@ -344,13 +348,16 @@ def exact_kl(
     The covariance part is the log Hilbert-Carleman determinant of ``I - S``,
     negated; it is nonpositive, vanishing only for ``S = 0``.
     """
+    return _finite_result(lambda: _exact_kl(nu, mu, data))
+
+
+def _exact_kl(nu: GaussianMeasure, mu: GaussianMeasure, data: GaussianPair | None) -> float:
     data = _equivalent_data(nu, mu, data)
     a = data.s_eigenvalues
     cov_term = -0.5 * float(np.sum(np.log1p(-a) + a))
     return 0.5 * float(data.delta @ data.delta) + cov_term
 
 
-@_finite_result
 def exact_renyi(
     nu: GaussianMeasure,
     mu: GaussianMeasure,
@@ -368,12 +375,18 @@ def exact_renyi(
     before summing, so no order cancels.  Every order first checks the pair
     itself: ``data`` from another pair raises ``ValueError``.
     """
+    return _finite_result(lambda: _exact_renyi(nu, mu, r, data))
+
+
+def _exact_renyi(
+    nu: GaussianMeasure, mu: GaussianMeasure, r: float, data: GaussianPair | None
+) -> float:
     r = _check_order(r)
     if r == 1.0:
-        return exact_kl(nu, mu, data=data)
+        return _exact_kl(nu, mu, data)
     data = _equivalent_data(nu, mu, data)
     if r == 0.0:
-        return exact_kl(mu, nu, data=data._mirror)
+        return _exact_kl(mu, nu, data._mirror)
     a = data.s_spectrum.eigenvalues
     weights = 1.0 - (1.0 - r) * a
     if weights.size and float(np.min(weights)) <= SINGULAR_MARGIN:
@@ -405,7 +418,7 @@ def exact_hellinger(
     *,
     data: GaussianPair | None = None,
 ) -> float:
-    """Exact Hellinger distance ``sqrt(2 (1 - exp(-D_B)))``, in [0, sqrt(2))."""
+    """Exact Hellinger distance ``sqrt(2 (1 - exp(-D_B)))``, in [0, sqrt(2)]."""
     return exact_divergence(nu, mu, "hellinger", data=data)
 
 
@@ -495,7 +508,7 @@ def regularized_bhattacharyya(nu: GaussianMeasure, mu: GaussianMeasure, gamma: f
 
 
 def regularized_hellinger(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float) -> float:
-    """Regularized Hellinger distance ``sqrt(2 (1 - exp(-D_B^gamma)))``, in [0, sqrt(2))."""
+    """Regularized Hellinger distance ``sqrt(2 (1 - exp(-D_B^gamma)))``, in [0, sqrt(2)]."""
     return regularized_divergence(nu, mu, "hellinger", gamma)
 
 
@@ -504,9 +517,8 @@ def regularized_hellinger(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float
 # ---------------------------------------------------------------------------
 
 # Every kind is a Renyi value at a fixed order (None: the caller's ``r``)
-# passed through a transform.  The table holds no function of this module, so
-# a caller that rebinds ``exact_renyi`` or ``regularized_renyi`` here sees
-# every dispatched call.
+# passed through a transform.  Only the Hellinger transform maps a Renyi value
+# that overflows to a finite one.
 _KIND_TABLE = {
     "kl": (1.0, float),
     "renyi": (None, float),
@@ -540,7 +552,7 @@ def exact_divergence(
 ) -> float:
     """Exact divergence dispatch by kind (``kl``, ``renyi``, ``bhatt``, ``hellinger``)."""
     order, transform = _kind_order(kind, r)
-    return transform(exact_renyi(nu, mu, order, data=data))
+    return _finite_result(lambda: _exact_renyi(nu, mu, order, data), transform)
 
 
 def regularized_divergence(
@@ -551,5 +563,4 @@ def regularized_divergence(
     r: float | None = None,
 ) -> float:
     """Regularized divergence dispatch by kind, at shift ``gamma > 0``."""
-    order, transform = _kind_order(kind, r)
-    return transform(regularized_renyi(nu, mu, order, gamma))
+    return GaussianPair(nu, mu).regularized(kind, gamma, r)

@@ -179,7 +179,7 @@ class TestModelValidation:
         ({"forward": {}}, "'forward'"),
         ({"noise_cov": [[{}]]}, "'noise_cov'"),
         ({"observation": {"y": 1.0}}, "'observation'"),
-        ({"prior": [1.0]}, "prior"),
+        ({"prior": [1.0]}, "measure must be an object"),
         ({"prior": {"dim": None, "mean": [0.0], "cov": [[1.0]]}}, "'dim'"),
     ])
     def test_from_dict_names_the_wrong_field(self, change, field):

@@ -37,6 +37,17 @@ def test_claim_not_met_without_a_gain_above_the_spread(tool):
     assert verdict["met"] is False
 
 
+def test_claim_needs_ten_pairs(tool):
+    # Three won pairs of three are not nine of ten.
+    spec = next(spec for spec in END_TO_END if spec["name"] == "peak_rss_mb")
+    record = dict(RECORD["workloads"]["montecarlo-200"])
+    record["pairs"] = record["pairs"][:3]
+    record["summary"] = tool["summarize"](record["pairs"], END_TO_END)
+    verdict = tool["claim"](record, "montecarlo-200", spec)
+    assert verdict["change_wins"] == "3 of 3"
+    assert verdict["met"] is False
+
+
 def test_lower_is_better_counts_a_fall_as_a_gain(tool):
     spec = next(spec for spec in END_TO_END if spec["name"] == "peak_rss_mb")
     verdict = tool["claim"](RECORD["workloads"]["montecarlo-200"], "montecarlo-200", spec)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+import math
 import struct
 import warnings
 
@@ -382,7 +383,7 @@ class TestWrongShapeFiles:
         ({"forward": {}, "noise_cov": [[1.0]], "observation": [0.0],
           "prior": {"dim": 1, "mean": [0.0], "cov": [[1.0]]}}, "'forward'"),
         ({"forward": [[1.0]], "noise_cov": [[1.0]], "observation": [0.0], "prior": [1.0]},
-         "prior"),
+         "measure must be an object"),
     ], ids=["string", "forward object", "prior list"])
     def test_model_file_exits_2_naming_the_field(self, tmp_path, capsys, model, field):
         path = _write(tmp_path, "model.json", json.dumps(model))
@@ -416,10 +417,17 @@ class TestOverflow:
         ["--kind", "renyi", "--r", "0.5"],
         ["--kind", "kl", "--gamma", "1e-3"],
         ["--kind", "renyi", "--r", "0.5", "--gamma", "1e-3"],
-        ["--kind", "hellinger"],
-    ], ids=["kl", "renyi", "kl gamma", "renyi gamma", "hellinger"])
+        ["--kind", "bhatt"],
+    ], ids=["kl", "renyi", "kl gamma", "renyi gamma", "bhatt"])
     def test_div_exits_2(self, far_files, capsys, args):
         assert self._run(["div", *args, *far_files], capsys) == 2
+
+    @pytest.mark.parametrize("gamma", [[], ["--gamma", "1e-3"]], ids=["exact", "regularized"])
+    def test_hellinger_is_sqrt_2(self, far_files, capsys, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["div", "--kind", "hellinger", *gamma, *far_files]) == 0
+        assert capsys.readouterr() == (f"{math.sqrt(2.0):.17g}\n", "")
 
     @pytest.mark.parametrize("command", [
         ["sweep-gamma", "--kind", "kl", "--from", "1e-1", "--to", "1e-3"],

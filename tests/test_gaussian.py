@@ -10,6 +10,7 @@ import scipy.stats
 from numpy.testing import assert_allclose
 
 import gaussdiv as gd
+from gaussdiv import gaussian
 from oracles import (
     bhatt_closed,
     exact_renyi_reference,
@@ -500,7 +501,6 @@ class TestOverflow:
         "exact kl": lambda nu, mu: gd.exact_kl(nu, mu),
         "exact renyi": lambda nu, mu: gd.exact_renyi(nu, mu, 0.5),
         "exact renyi near 0": lambda nu, mu: gd.exact_renyi(nu, mu, 1e-13),
-        "exact hellinger": lambda nu, mu: gd.exact_hellinger(nu, mu),
         "regularized kl": lambda nu, mu: gd.regularized_kl(nu, mu, 1e-3),
         "regularized renyi": lambda nu, mu: gd.regularized_renyi(nu, mu, 0.5, 1e-3),
         "regularized renyi near 0": lambda nu, mu: gd.regularized_renyi(nu, mu, 1e-13, 1e-2),
@@ -516,6 +516,23 @@ class TestOverflow:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(gd.NonFinite, match="does not fit in a double"):
                 self.CALLS[name](nu, mu)
+
+    @pytest.mark.parametrize("call", [
+        lambda nu, mu: gd.exact_hellinger(nu, mu),
+        lambda nu, mu: gd.regularized_hellinger(nu, mu, 1e-3),
+        lambda nu, mu: gd.sweep_gamma(nu, mu, "hellinger", [1e-1, 1e-3])[-1].regularized,
+    ], ids=["exact", "regularized", "gamma sweep"])
+    def test_hellinger_is_sqrt_2(self, call):
+        # The Hellinger distance is bounded: an overflowing Renyi value is exp(-inf) = 0 away.
+        nu, mu = far_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert call(nu, mu) == math.sqrt(2.0)
+
+    def test_nan_raises_for_every_kind(self):
+        # A NaN Renyi value would pass the Hellinger transform as 0.
+        with pytest.raises(gd.NonFinite):
+            gaussian._finite_result(lambda: math.nan, gaussian._KIND_TABLE["hellinger"][1])
 
     def test_large_but_representable_offset_is_a_value(self):
         nu, mu = far_pair(1e150)
@@ -565,6 +582,7 @@ class TestGaussianMeasure:
         with pytest.raises(ValueError, match=field):
             gd.GaussianMeasure.from_dict(record)
 
-    def test_from_dict_accepts_an_integral_float_dim(self):
-        measure = gd.GaussianMeasure.from_dict({"dim": 1.0, "mean": [0.0], "cov": [[1.0]]})
+    @pytest.mark.parametrize("dim", [1.0, np.int64(1)], ids=["float", "numpy int"])
+    def test_from_dict_accepts_an_integral_dim(self, dim):
+        measure = gd.GaussianMeasure.from_dict({"dim": dim, "mean": [0.0], "cov": [[1.0]]})
         assert measure.dim == 1

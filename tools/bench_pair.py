@@ -3,14 +3,16 @@
 Usage::
 
     python tools/bench_pair.py --parent HEAD~1 --change HEAD --workload dense-800 \\
-        --pairs 10 --seconds 25 --claim dense-800:ops_per_s --out BENCH_<n>.json
+        --claim dense-800:ops_per_s --out BENCH_<n>.json
 
 Run it from inside the repository.  Each revision is exported with
 ``git archive`` into a temporary directory outside the repository, and each
 tree runs its own ``perfbench/run.py --workload W --seed S --seconds T
---trace 0``.  On seeds 1 to ``--pairs`` the parent runs first on odd seeds and
-the change first on even seeds; then the held-out seed 7919 runs once, parent
-first.  ``--workload`` may be repeated; the workloads run one after another.
+--trace 0``, ``T`` being the ``run_seconds`` of ``BENCHMARK.json``, which
+both trees must agree on.  On seeds 1 to 10 the parent runs first on odd seeds
+and the change first on even seeds; then the held-out seed 7919 runs once,
+parent first.  ``--workload`` may be repeated; the workloads run one after
+another.
 
 For every end-to-end metric of the change's ``BENCHMARK.json`` the summary
 holds each side's median and quartiles over the paired seeds
@@ -19,8 +21,8 @@ for neither), the relative change of the median, the parent's IQR and whether
 the change is worse than the parent by more than the metric's bound; every
 figure is rounded to 4 decimals before the next is computed from it.  A
 ``--claim WORKLOAD:METRIC`` is met when the change wins at least 9 in 10 of
-the pairs, its median gain exceeds the parent's IQR and it also wins the
-held-out seed.  The tool only reports: it changes no bound and no workload.
+at least 10 pairs, its median gain exceeds the parent's IQR and it also wins
+the held-out seed.  The tool only reports: it changes no bound and no workload.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import tempfile
 
 import numpy as np
 
+PAIRS = 10
 HELD_OUT_SEED = 7919
 RUN_KEYS = ("attempted", "failed", "correct")
 
@@ -89,7 +92,7 @@ def claim(record: dict, workload: str, spec: dict) -> dict:
         "median_gain": gain,
         "parent_iqr": figures["parent_iqr"],
         f"held_out_{HELD_OUT_SEED}": held,
-        "met": (10 * wins >= 9 * pairs and gain > figures["parent_iqr"]
+        "met": (pairs >= PAIRS and 10 * wins >= 9 * pairs and gain > figures["parent_iqr"]
                 and sign * (held["change"] - held["parent"]) > 0),
     }
 
@@ -118,10 +121,10 @@ def run(tree: str, workload: str, seed: int, seconds: float, end_to_end: list[di
     return {**figures, **{key: last[key] for key in RUN_KEYS}}, meta
 
 
-def measure(trees: dict, workload: str, pairs: int, seconds: float, end_to_end: list[dict]):
+def measure(trees: dict, workload: str, seconds: float, end_to_end: list[dict]):
     """Paired runs of one workload, its summary and the held-out run, plus one run's meta."""
     entries = []
-    for seed, first in [*schedule(pairs), (HELD_OUT_SEED, "parent")]:
+    for seed, first in [*schedule(PAIRS), (HELD_OUT_SEED, "parent")]:
         runs = {}
         for side in (first, "change" if first == "parent" else "parent"):
             runs[side], meta = run(trees[side], workload, seed, seconds, end_to_end)
@@ -142,8 +145,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="revision measured as the parent")
     parser.add_argument("--change", required=True, help="revision measured as the change")
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC whose gain is claimed")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
@@ -155,18 +156,24 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
         trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
         commits = {side: export(getattr(args, side), trees[side]) for side in trees}
-        with open(os.path.join(trees["change"], "BENCHMARK.json")) as handle:
-            end_to_end = json.load(handle)["end_to_end"]
+        benchmarks = {}
+        for side, tree in trees.items():
+            with open(os.path.join(tree, "BENCHMARK.json")) as handle:
+                benchmarks[side] = json.load(handle)
+        run_seconds = {side: benchmark["run_seconds"] for side, benchmark in benchmarks.items()}
+        if run_seconds["parent"] != run_seconds["change"]:
+            parser.error(f"the trees' BENCHMARK.json differ in run_seconds: {run_seconds}")
+        seconds = run_seconds["change"]
+        end_to_end = benchmarks["change"]["end_to_end"]
         specs = {spec["name"]: spec for spec in end_to_end}
         if args.claim is not None and claimed_metric not in specs:
             parser.error(f"--claim names {claimed_metric!r}, which is no end-to-end metric")
         workloads, meta = {}, {}
         for workload in args.workload:
-            workloads[workload], meta = measure(trees, workload, args.pairs, args.seconds,
-                                                end_to_end)
+            workloads[workload], meta = measure(trees, workload, seconds, end_to_end)
 
     report = {
-        "what": f"Paired end-to-end runs of perfbench/run.py (--trace 0, {args.seconds:g} s) "
+        "what": f"Paired end-to-end runs of perfbench/run.py (--trace 0, {seconds:g} s) "
                 "on two commits, each from its own tree",
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
@@ -174,11 +181,11 @@ def main(argv=None) -> int:
                                                "numpy", "scipy", "blas")},
         "method": {
             "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds "
-                       f"{args.seconds:g} --trace 0, from each commit's own tree",
+                       f"{seconds:g} --trace 0, from each commit's own tree",
             "blas_threads": "as pinned by each tree's perfbench/run.py",
-            "order": f"parent first on odd seeds, change first on even seeds; seeds 1-{args.pairs}, "
+            "order": f"parent first on odd seeds, change first on even seeds; seeds 1-{PAIRS}, "
                      f"then held-out seed {HELD_OUT_SEED} once (parent first)",
-            "quartiles": f"numpy.percentile, linear interpolation, over the {args.pairs} paired seeds",
+            "quartiles": f"numpy.percentile, linear interpolation, over the {PAIRS} paired seeds",
             "win": "change better than parent on the same seed; ties count for neither",
         },
     }

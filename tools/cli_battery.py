@@ -23,10 +23,11 @@ a degenerate base (``flat``: an eigenvalue of 1e-13, below the clip
 threshold, so its exact values report ``Degenerate`` and its regularized ones
 stay finite), an ill-conditioned pair whose regularized values warn
 ``IllConditioned`` and a dim-4 pair whose means lie about 1e160 apart, so
-every divergence overflows a double (``far/near``).  ``rn-check --n 2000``
-runs on the built-in pair at seeds 7 and 42, on the pairs ``p3/e3``, ``p8/e8``
-and ``p40/e40`` (the last fails its normalization check, exit 1), on the
-singular, the degenerate and the far pair, and with ``--nu`` alone.  ``div``
+every divergence but the Hellinger distance overflows a double
+(``far/near``).  ``rn-check --n 2000`` runs on the built-in pair at seeds 7
+and 42, on the pairs ``p3/e3``, ``p8/e8`` and ``p40/e40`` (the last fails
+its normalization check, exit 1), on the singular, the degenerate and the far
+pair, and with ``--nu`` alone.  ``div``
 reads measure files that are not strict JSON (``NaN``, ``Infinity``, ``1e400``,
 a 400-digit integer, a trailing comma, an empty file) or not a measure (a
 ``mean`` object, a ``dim`` of null or a list, a top-level list).  ``bayes``

@@ -12,8 +12,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimMismatch, NonFinite, NotPositive
-from .gaussian import GaussianMeasure, _check_record, _float_array
-from .operators import PSD_CLIP, TraceClassBlock, _shifted_cholesky
+from .gaussian import GaussianMeasure, _check_record, _factor_verdicts, _float_array
+from .operators import TraceClassBlock, _shifted_cholesky
 
 
 class LinearGaussianModel:
@@ -40,9 +40,9 @@ class LinearGaussianModel:
             raise DimMismatch(f"prior dim {prior.dim} does not match forward columns {dim}")
         if y.shape[0] != obs_dim:
             raise DimMismatch(f"observation length {y.shape[0]} does not match forward rows {obs_dim}")
-        if float(np.min(np.linalg.eigvalsh(gamma.entries))) <= PSD_CLIP:
+        if _factor_verdicts(gamma.entries, lambda: np.linalg.eigvalsh(gamma.entries))[1]:
             raise NotPositive("noise covariance must be strictly positive definite")
-        if float(np.min(prior.eigenvalues)) <= PSD_CLIP:
+        if prior._checked_factor()[1]:
             raise NotPositive("prior covariance must be strictly positive definite")
         a.flags.writeable = False
         y.flags.writeable = False

@@ -34,14 +34,15 @@ import scipy.linalg
 from .errors import Degenerate, DimMismatch, NonFinite, NotPositive, NotPSD, SingularPair
 from .logdet import LogDetPath, _endpoint_path, _interior, _kl_limit
 from .operators import (
-    CONDITION_WARN,
     PSD_CLIP,
     SINGULAR_MARGIN,
     Spectrum,
     TraceClassBlock,
     _for_row_blocks,
+    _ill_conditioned,
     _shifted_cholesky,
     _shifted_logdet,
+    _spectrum_verdicts,
     _warn_ill_conditioned,
     sym_eigen,
 )
@@ -77,16 +78,37 @@ def _float_array(data: dict, field: str) -> np.ndarray:
         raise ValueError(f"field {field!r} is not an array of numbers: {exc}") from exc
 
 
+def _factor_verdicts(matrix: np.ndarray, eigenvalues):
+    """The lower Cholesky factor of ``matrix`` (None where it fails), whether its smallest
+    eigenvalue is at or below ``PSD_CLIP`` and whether its condition number is beyond
+    ``CONDITION_WARN``.  Both verdicts are those of ``eigenvalues()``, its ascending
+    ``eigvalsh``, which runs only where the factor's condition estimate cannot settle them."""
+    try:
+        factor = _shifted_cholesky(matrix, 0.0)[0]
+    except NotPositive:
+        factor = None
+    if factor is not None:
+        degenerate, ill = _spectrum_verdicts(factor, np.linalg.norm(matrix, 1))
+        if degenerate or (degenerate is False and ill is not None):
+            return factor, degenerate, bool(ill)
+    lam = eigenvalues()
+    degenerate = lam.size == 0 or float(lam[0]) <= PSD_CLIP
+    return factor, degenerate, not degenerate and _ill_conditioned(lam)
+
+
 class GaussianMeasure:
     """Gaussian measure ``N(mean, cov)`` with PSD covariance on the finite carrier.
 
-    ``eigenvalues`` is the ascending, read-only spectrum of ``cov`` that the
-    validation computes; the regularized divergences reuse it.  ``spectrum``,
-    its eigendecomposition, is computed on first use and serves whitening
-    against this measure, sampling from it and its square root.
+    The covariance is accepted when the Cholesky factor of ``cov + PSD_CLIP I``
+    exists and its condition estimate shows no eigenvalue below ``-PSD_CLIP``;
+    otherwise ``eigvalsh`` decides, and an eigenvalue below ``-PSD_CLIP`` raises
+    :class:`~gaussdiv.errors.NotPSD`.  ``eigenvalues``, the ascending, read-only
+    spectrum of ``cov``, and ``spectrum``, its eigendecomposition, are computed on
+    first use: the regularized KL reads the first, whitening against this
+    measure, sampling from it and its square root the second.
     """
 
-    __slots__ = ("mean", "cov", "eigenvalues", "_spectrum")
+    __slots__ = ("mean", "cov", "_eigenvalues", "_spectrum", "_factor")
 
     def __init__(self, mean, cov):
         m = np.array(mean, dtype=float)
@@ -98,15 +120,39 @@ class GaussianMeasure:
             cov = TraceClassBlock(cov)
         if m.shape[0] != cov.dim:
             raise DimMismatch(f"mean length {m.shape[0]} does not match cov dim {cov.dim}")
-        lam = np.linalg.eigvalsh(cov.entries)
-        if lam.size and float(np.min(lam)) < -PSD_CLIP:
-            raise NotPSD("covariance has a genuinely negative eigenvalue")
-        m.flags.writeable = False
-        lam.flags.writeable = False
         self.mean = m
         self.cov = cov
-        self.eigenvalues = lam
-        self._spectrum = None
+        self._eigenvalues = self._spectrum = self._factor = None
+        try:
+            factor = _shifted_cholesky(cov.entries, PSD_CLIP)[0]
+        except NotPositive:
+            factor = None
+        if factor is None or _spectrum_verdicts(factor, np.linalg.norm(cov.entries, 1) + PSD_CLIP,
+                                                0.0)[0] is not False:
+            lam = self.eigenvalues
+            if lam.size and float(np.min(lam)) < -PSD_CLIP:
+                raise NotPSD("covariance has a genuinely negative eigenvalue")
+        m.flags.writeable = False
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of ``cov`` by ``eigvalsh``, ascending."""
+        if self._eigenvalues is None:
+            lam = np.linalg.eigvalsh(self.cov.entries)
+            lam.flags.writeable = False
+            self._eigenvalues = lam
+        return self._eigenvalues
+
+    def _checked_factor(self) -> tuple[np.ndarray | None, bool, bool]:
+        """:func:`_factor_verdicts` of ``cov``, computed on first use, with the factor
+        lower-triangular and read-only: every pair whitening against this measure shares it."""
+        if self._factor is None:
+            factor, degenerate, ill = _factor_verdicts(self.cov.entries, lambda: self.eigenvalues)
+            if factor is not None:
+                factor = np.tril(factor)
+                factor.flags.writeable = False
+            self._factor = factor, degenerate, ill
+        return self._factor
 
     @property
     def spectrum(self) -> Spectrum:
@@ -146,7 +192,9 @@ class GaussianPair:
     Each quantity takes the cheapest factorization that gives it, chosen by the
     order alone, so a sweep record and a standalone call agree exactly.  The
     exact divergences and the log density ratio whiten by ``base_factor``, the
-    Cholesky factor ``L`` of ``mu.cov``: ``s_block`` is ``S = I - L^{-1} C_nu L^{-T}``,
+    Cholesky factor ``L`` of ``mu.cov``, which every pair on that base shares and
+    whose condition estimate says whether the base is degenerate or
+    ill-conditioned: ``s_block`` is ``S = I - L^{-1} C_nu L^{-T}``,
     so ``nu.cov = L (I - S) L^T``, and ``delta = L^{-1}(m_nu - m_mu)``; any other
     whitening changes both by one rotation, which no divergence sees.  The KL
     and ``singular`` (the top eigenvalue of ``S`` within ``SINGULAR_MARGIN`` of
@@ -159,7 +207,9 @@ class GaussianPair:
     read the mirror pair ``(mu, nu)``, built once and kept; its mirror is this pair.
     Every other order takes Cholesky factors at its gamma: of ``C_nu + gamma I``
     and ``C_mu + gamma I`` (log-determinants cached per gamma) and of the shifted
-    blend ``(1-r) C_nu + r C_mu + gamma I``.
+    blend ``(1-r) C_nu + r C_mu + gamma I``, whose condition estimate decides the
+    :class:`~gaussdiv.errors.IllConditioned` warning; only the KL limits read the
+    measures' ``eigenvalues``.
     """
 
     def __init__(self, nu: GaussianMeasure, mu: GaussianMeasure):
@@ -171,14 +221,22 @@ class GaussianPair:
 
     @cached_property
     def base_factor(self) -> np.ndarray:
-        lam = self.mu.eigenvalues
-        if lam.size == 0 or float(lam[0]) <= PSD_CLIP:
+        """The lower Cholesky factor ``L`` of ``mu.cov``.
+
+        :class:`~gaussdiv.errors.Degenerate` when ``mu.cov`` has an eigenvalue at or
+        below ``PSD_CLIP`` or the factorization fails, and a warning
+        :class:`~gaussdiv.errors.IllConditioned` (before a failure, too) when its
+        condition number is beyond ``CONDITION_WARN``.  Both verdicts come from the
+        factor and its condition estimate; ``mu.eigenvalues`` settles them where the
+        estimate lies within the allowed margins of either threshold.
+        """
+        factor, degenerate, ill = self.mu._checked_factor()
+        if degenerate:
             raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
-        _warn_ill_conditioned(lam)
-        try:
-            return np.tril(_shifted_cholesky(self.mu.cov.entries, 0.0)[0])
-        except NotPositive as exc:
-            raise Degenerate("matrix has an eigenvalue at or below the clip threshold") from exc
+        _warn_ill_conditioned(ill)
+        if factor is None:
+            raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
+        return factor
 
     @cached_property
     def s_block(self) -> TraceClassBlock:
@@ -267,11 +325,10 @@ class GaussianPair:
             blend = (1.0 - r) * self.nu.cov.entries + r * self.mu.cov.entries
             factor, ld_blend = _shifted_cholesky(blend, gamma)
             result = _interior(alpha, 1.0 - r, r, ld_blend, *self._logdets[gamma], gamma, gamma)
-            # Weyl's inequalities bound the shifted blend's condition number by top / bottom.
-            lam_nu, lam_mu = self.nu.eigenvalues, self.mu.eigenvalues
-            top = (1.0 - r) * float(lam_nu[-1]) + r * float(lam_mu[-1]) + gamma
-            if top > CONDITION_WARN * ((1.0 - r) * float(lam_nu[0]) + r * float(lam_mu[0]) + gamma):
-                _warn_ill_conditioned(np.linalg.eigvalsh(blend) + gamma)
+            ill = _spectrum_verdicts(factor, np.linalg.norm(blend, 1) + gamma)[1]
+            if ill is None:
+                ill = _ill_conditioned(np.linalg.eigvalsh(blend) + gamma)
+            _warn_ill_conditioned(ill)
             z = scipy.linalg.solve_triangular(factor, self.nu.mean - self.mu.mean, lower=True)
             return 0.5 * float(z @ z) + 0.5 * result.value
         ld_nu = _shifted_logdet(self.nu.eigenvalues, gamma)
@@ -283,7 +340,7 @@ class GaussianPair:
             raise NotPositive("shifted operator is not positive definite")
         trace = float(np.sum((d + gamma) / shifted)) - self.nu.dim
         result = _kl_limit(alpha, path, ld_nu, ld_mu, trace, gamma, gamma)
-        _warn_ill_conditioned(shifted)
+        _warn_ill_conditioned(_ill_conditioned(shifted))
         return 0.5 * float(np.sum(proj * proj / shifted)) + 0.5 * result.value
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import (
     DimMismatch,
@@ -204,6 +205,31 @@ def _shifted_cholesky(matrix: np.ndarray, shift: float) -> tuple[np.ndarray, flo
     return factor, 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
+def _spectrum_verdicts(factor: np.ndarray, norm: float, floor: float = PSD_CLIP):
+    """Whether ``lam = eigvalsh(A)`` would have ``lam[0] <= floor`` and whether it would have
+    ``lam[-1] > CONDITION_WARN * lam[0]``, each None where this cannot tell, for the symmetric
+    ``A`` of lower Cholesky factor ``factor`` and 1-norm ``norm``.
+
+    LAPACK's estimate ``e`` of ``||A^-1||_1`` (``dpocon``, a few triangular solves) is a lower
+    bound, so ``lambda_min <= sqrt(n) / e``; it is rarely below the norm by more than a factor
+    3, and a factor ``m = max(n, 16)`` is allowed for, so ``lambda_min >= 1 / (m e)``.  The
+    largest eigenvalue lies in ``[norm / sqrt(n), norm]``.  Every bound is widened by
+    ``m eps norm`` for the rounding of the factorization and of ``eigvalsh``.
+    """
+    n = factor.shape[0]
+    rcond, info = scipy.linalg.lapack.dpocon(factor, norm, uplo="L")
+    inv_estimate = rcond * norm  # 1 / e
+    if n == 0 or info != 0 or not 0.0 < inv_estimate < np.inf:
+        return None, None
+    root, slack = np.sqrt(n), max(n, 16)
+    noise = slack * np.finfo(float).eps * norm
+    lo, hi = inv_estimate / slack - noise, root * inv_estimate + noise
+    top_lo, top_hi = norm / root - noise, norm + noise
+    below = True if hi <= floor else False if lo > floor else None
+    ill = True if top_lo > CONDITION_WARN * hi else False if top_hi <= CONDITION_WARN * lo else None
+    return below, ill
+
+
 def _shifted_logdet(tau: np.ndarray, c: float) -> float:
     """``log c + sum_k log(1 + tau_k / c)`` from the block eigenvalues ``tau``, for ``c > 0``.
 
@@ -304,12 +330,16 @@ def _spectral_sqrt(spec: Spectrum) -> TraceClassBlock:
     return TraceClassBlock(0.5 * (root + root.T))
 
 
-def _warn_ill_conditioned(lam: np.ndarray) -> None:
-    """Warn :class:`IllConditioned` when the spectrum ``lam`` of a matrix about to be
-    inverted spans more than ``CONDITION_WARN``; a nonpositive minimum counts as beyond it.
-    The warning points at the line that called into this package, so that under
-    Python's default filter each calling line warns once."""
-    if float(np.max(lam)) > CONDITION_WARN * float(np.min(lam)):
+def _ill_conditioned(lam: np.ndarray) -> bool:
+    """Whether the spectrum ``lam`` of a matrix about to be inverted spans more than
+    ``CONDITION_WARN``; a nonpositive minimum counts as beyond it."""
+    return float(np.max(lam)) > CONDITION_WARN * float(np.min(lam))
+
+
+def _warn_ill_conditioned(ill: bool) -> None:
+    """Warn :class:`IllConditioned` when ``ill``.  The warning points at the line that called
+    into this package, so that under Python's default filter each calling line warns once."""
+    if ill:
         # The outermost package frame's caller: cached properties interleave functools frames.
         frame, level, stacklevel = sys._getframe(), 1, 2
         while frame is not None:

@@ -2,8 +2,10 @@
 
 Counts are deterministic where wall-clock time is not, so they pin the work
 each subcommand does: a change that adds or drops an eigendecomposition, a
-dense solve, a Cholesky factorization or a triangular solve shows up here.
-The exact divergences whiten by a Cholesky factor of the base and take the
+dense solve, a Cholesky factorization, a condition estimate or a triangular
+solve shows up here.  Building a measure takes a Cholesky factor and its
+condition estimate, and so does whitening against it; a measure's
+eigenvalues are computed only where a divergence reads them.  The exact divergences whiten by a Cholesky factor of the base and take the
 eigenvalues of the whitened perturbation; only the orders inside (0, 1) and
 the log density ratio need its eigenvectors.  The regularized KL reads the
 base's eigendecomposition, which one pair object keeps for a whole sweep;
@@ -21,6 +23,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 import gaussdiv as gd
 from gaussdiv.cli import main
@@ -28,6 +31,7 @@ from gaussdiv.cli import main
 COUNTED = (
     (np.linalg, ("eigh", "eigvalsh", "solve")),
     (scipy.linalg, ("cho_factor", "cho_solve", "solve_triangular")),
+    (scipy.linalg.lapack, ("dpocon",)),
 )
 
 DIM = 60
@@ -35,33 +39,33 @@ DIM = 60
 CASES = {
     "div kl": (
         ["div", "--kind", "kl", "--nu", "{nu}", "--mu", "{mu}"],
-        {"cho_factor": 1, "eigvalsh": 3, "solve_triangular": 3},
+        {"cho_factor": 3, "dpocon": 3, "eigvalsh": 1, "solve_triangular": 3},
     ),
     "div renyi regularized": (
         ["div", "--kind", "renyi", "--r", "0.3", "--gamma", "1e-4", "--nu", "{nu}", "--mu", "{mu}"],
-        {"cho_factor": 3, "eigvalsh": 2, "solve_triangular": 1},
+        {"cho_factor": 5, "dpocon": 3, "solve_triangular": 1},
     ),
     "sweep-gamma kl": (
         ["sweep-gamma", "--kind", "kl", "--from", "1e-1", "--to", "1e-8", "--points", "8",
          "--nu", "{nu}", "--mu", "{mu}", "--out", "{out}"],
-        {"cho_factor": 1, "eigh": 1, "eigvalsh": 3, "solve_triangular": 3},
+        {"cho_factor": 3, "dpocon": 3, "eigh": 1, "eigvalsh": 3, "solve_triangular": 3},
     ),
     "sweep-r regularized": (
         ["sweep-r", "--gamma", "1e-6", "--from", "0.1", "--to", "0.9", "--points", "5",
          "--nu", "{nu}", "--mu", "{mu}", "--out", "{out}"],
-        {"cho_factor": 8, "eigh": 1, "eigvalsh": 3, "solve_triangular": 8},
+        {"cho_factor": 10, "dpocon": 8, "eigh": 1, "eigvalsh": 1, "solve_triangular": 8},
     ),
     "bayes": (
         ["bayes", "--model", "{model}"],
-        {"cho_factor": 3, "cho_solve": 4, "eigvalsh": 4, "solve_triangular": 3},
+        {"cho_factor": 6, "cho_solve": 4, "dpocon": 4, "eigvalsh": 1, "solve_triangular": 3},
     ),
     "rn-check": (
         ["rn-check", "--n", "2000", "--seed", "7", "--nu", "{nu}", "--mu", "{mu}"],
-        {"cho_factor": 1, "eigh": 6, "eigvalsh": 6, "solve_triangular": 4},
+        {"cho_factor": 6, "dpocon": 6, "eigh": 6, "eigvalsh": 1, "solve_triangular": 4},
     ),
     "rn-check built-in pair": (
         ["rn-check", "--n", "2000", "--seed", "7"],
-        {"cho_factor": 1, "eigh": 6, "eigvalsh": 6, "solve_triangular": 4},
+        {"cho_factor": 6, "dpocon": 6, "eigh": 6, "eigvalsh": 1, "solve_triangular": 4},
     ),
 }
 
@@ -114,7 +118,8 @@ def test_factorization_counts(case, paths, calls):
 def test_gamma_sweep_eigendecompositions_do_not_grow_with_the_grid(kind, paths, calls):
     # The KL limit reads gamma-free spectra, so nothing grows with the grid.  An
     # interior order pays, per grid point, Cholesky factors of C_nu + gamma I,
-    # C_mu + gamma I and the shifted blend, and one triangular solve.
+    # C_mu + gamma I and the shifted blend, the blend's condition estimate and one
+    # triangular solve.
     counts = []
     for points in ("3", "8"):
         calls.clear()
@@ -123,11 +128,24 @@ def test_gamma_sweep_eigendecompositions_do_not_grow_with_the_grid(kind, paths, 
         assert main(argv) == 0
         counts.append(dict(calls))
     growth = {name: counts[1][name] - counts[0].get(name, 0) for name in counts[1]}
-    per_point = {} if kind == ["kl"] else {"cho_factor": 3, "solve_triangular": 1}
+    per_point = {} if kind == ["kl"] else {"cho_factor": 3, "dpocon": 1, "solve_triangular": 1}
     assert {name: n for name, n in growth.items() if n} == {
         name: 5 * n for name, n in per_point.items()
     }
     assert "solve" not in counts[0]
+
+
+def test_building_a_positive_definite_measure_takes_one_cholesky_factor(calls):
+    # Validation is a Cholesky factor of cov + PSD_CLIP I and its condition
+    # estimate; the eigenvalues wait until a divergence reads them.
+    cov = gd.gen_measure(gd.SpectrumFamily.power_law(DIM, 2.0), 3).cov
+    calls.clear()
+    measure = gd.GaussianMeasure(np.zeros(DIM), cov)
+    assert dict(calls) == {"cho_factor": 1, "dpocon": 1}
+    calls.clear()
+    measure.eigenvalues
+    measure.eigenvalues
+    assert dict(calls) == {"eigvalsh": 1}
 
 
 def test_operator_calculus_factors_each_block_once(calls):

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimMismatch, NonFinite, NotPositive
-from .gaussian import GaussianMeasure, _check_record, _factor_verdicts, _float_array
+from .gaussian import GaussianMeasure, _check_record, _factor_verdicts, _field, _float_array
 from .operators import TraceClassBlock, _shifted_cholesky
 
 
@@ -70,13 +70,13 @@ class LinearGaussianModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearGaussianModel":
-        """The model of a ``{"forward", "noise_cov", "prior", "observation"}`` record; a field
-        of the wrong type raises ``ValueError`` naming it."""
+        """The model of a ``{"forward", "noise_cov", "prior", "observation"}`` record; a missing
+        field or one of the wrong type raises ``ValueError`` naming it."""
         _check_record(data, "model")
         return cls(
             _float_array(data, "forward"),
             _float_array(data, "noise_cov"),
-            GaussianMeasure.from_dict(data["prior"]),
+            GaussianMeasure.from_dict(_field(data, "prior")),
             _float_array(data, "observation"),
         )
 

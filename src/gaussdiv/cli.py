@@ -57,8 +57,17 @@ def _load_json(path: str) -> dict:
         return orjson.loads(handle.read())
 
 
+def _load(path: str, from_dict):
+    """``from_dict`` of the record in the JSON file at ``path``; a file that is not strict
+    JSON or not such a record raises ``ValueError`` naming the file."""
+    try:
+        return from_dict(_load_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_measure(path: str) -> GaussianMeasure:
-    return GaussianMeasure.from_dict(_load_json(path))
+    return _load(path, GaussianMeasure.from_dict)
 
 
 def _measure_pair(args) -> tuple[GaussianMeasure, GaussianMeasure]:
@@ -92,7 +101,7 @@ def _cmd_sweep_r(args) -> int:
 
 
 def _cmd_bayes(args) -> int:
-    model = LinearGaussianModel.from_dict(_load_json(args.model))
+    model = _load(args.model, LinearGaussianModel.from_dict)
     closed = kl_posterior_prior(model)
     whitened = exact_divergence(posterior(model), model.prior, "kl")
     print(f"kl_closed_form={_fmt(closed)}")
@@ -221,7 +230,7 @@ def main(argv=None) -> int:
         # The modeled infinity of the equivalent-or-singular dichotomy.
         print("inf")
         return 3
-    except (GaussDivError, ValueError, OSError, KeyError) as exc:
+    except (GaussDivError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

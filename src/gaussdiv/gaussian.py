@@ -69,11 +69,20 @@ def _check_record(data, what: str) -> None:
         raise ValueError(f"a {what} must be an object with named fields, got {type(data).__name__}")
 
 
-def _float_array(data: dict, field: str) -> np.ndarray:
-    """``data[field]`` as a float array; entries that are not numbers raise ``ValueError``
-    naming the field."""
+def _field(data: dict, field: str):
+    """``data[field]``; a missing field raises ``ValueError`` naming it."""
     try:
-        return np.array(data[field], dtype=float)
+        return data[field]
+    except KeyError:
+        raise ValueError(f"field {field!r} is missing") from None
+
+
+def _float_array(data: dict, field: str) -> np.ndarray:
+    """``data[field]`` as a float array; a missing field or entries that are not numbers
+    raise ``ValueError`` naming the field."""
+    value = _field(data, field)
+    try:
+        return np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field {field!r} is not an array of numbers: {exc}") from exc
 
@@ -170,10 +179,10 @@ class GaussianMeasure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianMeasure":
-        """The measure of a ``{"dim", "mean", "cov"}`` record; a field of the wrong type
-        raises ``ValueError`` naming it."""
+        """The measure of a ``{"dim", "mean", "cov"}`` record; a missing field or one of the
+        wrong type raises ``ValueError`` naming it."""
         _check_record(data, "measure")
-        dim = data["dim"]
+        dim = _field(data, "dim")
         integral = isinstance(dim, numbers.Integral) or (isinstance(dim, float) and dim.is_integer())
         if isinstance(dim, bool) or not integral:
             raise ValueError(f"field 'dim' must be an integer, got {dim!r}")
@@ -492,6 +501,10 @@ def log_radon_nikodym_batch(
 
         log rn(x) = -1/2 log det(I-S) - 1/2 <x_t, S(I-S)^{-1} x_t>
                     + <x_t, (I-S)^{-1} delta> - 1/2 <delta, (I-S)^{-1} delta>
+
+    A coefficient or a value that overflows a double raises
+    :class:`~gaussdiv.errors.NonFinite`, with no numpy warning; the coefficients
+    are checked before any row is computed.
     """
     data = _equivalent_data(nu, mu, data)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -503,17 +516,23 @@ def log_radon_nikodym_batch(
     one_minus = 1.0 - a
     d_hat = data.s_spectrum.eigenvectors.T @ data.delta
     frame = data._rn_frame
-    const = -0.5 * float(np.sum(np.log1p(-a))) - 0.5 * float(np.sum(d_hat * d_hat / one_minus))
-    weights, pull = a / one_minus, d_hat / one_minus
+    with np.errstate(over="ignore", invalid="ignore"):
+        const = -0.5 * float(np.sum(np.log1p(-a))) - 0.5 * float(np.sum(d_hat * d_hat / one_minus))
+        weights, pull = a / one_minus, d_hat / one_minus
+    if not (math.isfinite(const) and np.all(np.isfinite(weights)) and np.all(np.isfinite(pull))):
+        raise NonFinite("the log density ratio does not fit in a double")
     out = np.empty(points.shape[0])
 
     def fill(start: int, stop: int) -> None:
-        x_hat = (points[start:stop] - mu.mean) @ frame
-        quad = -0.5 * (x_hat * x_hat) @ weights
-        cross = x_hat @ pull
-        out[start:stop] = const + quad + cross
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_hat = (points[start:stop] - mu.mean) @ frame
+            quad = -0.5 * (x_hat * x_hat) @ weights
+            cross = x_hat @ pull
+            out[start:stop] = const + quad + cross
 
     _for_row_blocks(points.shape[0], mu.dim, fill)
+    if not np.all(np.isfinite(out)):
+        raise NonFinite("the log density ratio does not fit in a double")
     return out
 
 

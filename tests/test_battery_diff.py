@@ -61,3 +61,17 @@ def test_exit_code_change_exits_1(diff, capsys):
     new = BATTERY.replace("exit=0", "exit=3", 1)
     assert diff(BATTERY, new) == 1
     assert "exit 0 -> 3" in capsys.readouterr().out
+
+
+def test_added_and_removed_calls_are_listed_and_exit_1(diff, capsys):
+    first, second = BATTERY.split("$ gaussdiv sweep-gamma")
+    second = "$ gaussdiv sweep-gamma" + second
+    assert diff(first, BATTERY) == 1
+    out = capsys.readouterr().out
+    assert "added (exit 0)" in out
+    assert out.splitlines()[-1].endswith("; 1 added, 0 removed")
+    assert diff(BATTERY, second) == 1
+    out = capsys.readouterr().out
+    assert "$ gaussdiv div --kind kl" in out
+    assert "removed (exit 0)" in out
+    assert out.splitlines()[-1].startswith("# 1 calls; 0 differ")

@@ -187,6 +187,13 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=field):
             gd.LinearGaussianModel.from_dict(record)
 
+    @pytest.mark.parametrize("field", ["forward", "noise_cov", "prior", "observation"])
+    def test_from_dict_names_a_missing_field(self, field):
+        record = scalar_model().to_dict()
+        del record[field]
+        with pytest.raises(ValueError, match=f"field '{field}' is missing"):
+            gd.LinearGaussianModel.from_dict(record)
+
     @pytest.mark.parametrize("record", ["model", [1.0], None])
     def test_from_dict_needs_an_object(self, record):
         with pytest.raises(ValueError, match="model"):

@@ -356,7 +356,7 @@ class TestDecoder:
         assert main(["div", "--kind", "kl", "--nu", nu, "--mu", mu]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith(f"error: {nu}: ")
 
 
 class TestWrongShapeFiles:
@@ -375,8 +375,16 @@ class TestWrongShapeFiles:
         mu = _write(tmp_path, "mu.json", '{"dim": 2, "mean": [0.0, 0.0], ' + self.UNIT + '}')
         assert main(["div", "--kind", "kl", "--nu", nu, "--mu", mu]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {nu}: ")
         assert field in err
+
+    @pytest.mark.parametrize("option", ["--nu", "--mu"])
+    def test_missing_field_names_the_file_and_the_field(self, tmp_path, capsys, option):
+        bad = _write(tmp_path, "bad.json", '{"dim": 2, "mean": [0.0, 0.0]}')
+        good = _write(tmp_path, "good.json", '{"dim": 2, "mean": [0.0, 0.0], ' + self.UNIT + '}')
+        files = {"--nu": good, "--mu": good, option: bad}
+        assert main(["div", "--kind", "kl", "--nu", files["--nu"], "--mu", files["--mu"]]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: field 'cov' is missing\n"
 
     @pytest.mark.parametrize("model, field", [
         ("model", "model"),
@@ -389,7 +397,7 @@ class TestWrongShapeFiles:
         path = _write(tmp_path, "model.json", json.dumps(model))
         assert main(["bayes", "--model", path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {path}: ")
         assert field in err
 
 

@@ -529,6 +529,28 @@ class TestOverflow:
             warnings.simplefilter("error", RuntimeWarning)
             assert call(nu, mu) == math.sqrt(2.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda nu, mu: gd.log_radon_nikodym_batch(np.vstack([nu.mean, mu.mean]), nu, mu),
+        lambda nu, mu: gd.mc_kl_check(nu, mu, 100, 1),
+        lambda nu, mu: gd.mc_rn_normalization(nu, mu, 100, 1),
+    ], ids=["log_radon_nikodym_batch", "mc_kl_check", "mc_rn_normalization"])
+    def test_log_density_ratio_raises(self, call):
+        # Its constant overflows, so no row is computed and no worker thread warns.
+        nu, mu = far_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(gd.NonFinite, match="log density ratio does not fit"):
+                call(nu, mu)
+
+    def test_log_density_ratio_of_a_far_point_raises(self):
+        # Finite coefficients, but the quadratic form at the point overflows.
+        nu, mu = far_pair(1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isfinite(gd.log_radon_nikodym(mu.mean, nu, mu))
+            with pytest.raises(gd.NonFinite, match="log density ratio does not fit"):
+                gd.log_radon_nikodym(mu.mean + 1e200, nu, mu)
+
     def test_nan_raises_for_every_kind(self):
         # A NaN Renyi value would pass the Hellinger transform as 0.
         with pytest.raises(gd.NonFinite):
@@ -580,6 +602,13 @@ class TestGaussianMeasure:
     ])
     def test_from_dict_names_the_wrong_field(self, record, field):
         with pytest.raises(ValueError, match=field):
+            gd.GaussianMeasure.from_dict(record)
+
+    @pytest.mark.parametrize("field", ["dim", "mean", "cov"])
+    def test_from_dict_names_a_missing_field(self, field):
+        record = {"dim": 1, "mean": [0.0], "cov": [[1.0]]}
+        del record[field]
+        with pytest.raises(ValueError, match=f"field '{field}' is missing"):
             gd.GaussianMeasure.from_dict(record)
 
     @pytest.mark.parametrize("dim", [1.0, np.int64(1)], ids=["float", "numpy int"])

@@ -11,7 +11,9 @@ token by token in stdout and in the written file, each relative to the
 largest finite magnitude on its line in either output: a sweep row's
 ``abs_err`` and ``rel_err`` are differences of its values, so they drift
 relative to those values.  ``inf`` and ``nan`` count as numbers, equal to
-themselves.  A last line sums up.  The exit status is 1 when any exit code,
+themselves.  Calls are matched by their arguments: a call that only one output
+ran is listed as added or removed, with its exit code.  A last line sums up.
+The exit status is 1 when a call was added or removed or any exit code,
 stderr, warning or text around the numbers differs, and 0 when only numbers
 drift.
 """
@@ -89,12 +91,20 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     old_calls, new_calls = parse(argv[0]), parse(argv[1])
-    if [c["args"] for c in old_calls] != [c["args"] for c in new_calls]:
-        print("the two outputs ran different calls", file=sys.stderr)
-        return 2
-    contract = drifted = 0
+    old_by_args = {call["args"]: call for call in old_calls}
+    new_args = {call["args"] for call in new_calls}
+    contract = drifted = added = removed = 0
     worst = 0.0
-    for old, new in zip(old_calls, new_calls):
+    for call in old_calls:
+        if call["args"] not in new_args:
+            removed += 1
+            print(f"$ {call['args']}\n  removed (exit {call['exit']})")
+    for new in new_calls:
+        old = old_by_args.get(new["args"])
+        if old is None:
+            added += 1
+            print(f"$ {new['args']}\n  added (exit {new['exit']})")
+            continue
         differs, drift, where = compare(old, new)
         if not differs and drift == 0.0:
             continue
@@ -110,8 +120,9 @@ def main(argv=None) -> int:
         if drift > 0.0:
             print(f"  max relative drift {drift:.3g} in: {where}")
     print(f"# {len(new_calls)} calls; {contract} differ in exit code, stderr, warnings or text; "
-          f"{drifted} drift in their numbers, at most {worst:.3g} relative")
-    return 1 if contract else 0
+          f"{drifted} drift in their numbers, at most {worst:.3g} relative"
+          + (f"; {added} added, {removed} removed" if added or removed else ""))
+    return 1 if contract or added or removed else 0
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ its normalization check, exit 1), on the singular, the degenerate and the far
 pair, and with ``--nu`` alone.  ``div``
 reads measure files that are not strict JSON (``NaN``, ``Infinity``, ``1e400``,
 a 400-digit integer, a trailing comma, an empty file) or not a measure (a
-``mean`` object, a ``dim`` of null or a list, a top-level list).  ``bayes``
+``mean`` object, a ``dim`` of null or a list, a top-level list, no ``cov``).  ``bayes``
 runs on two small model files that the battery writes, on one whose noise
 covariance is not positive definite, on a JSON string and on a model whose
 ``forward`` is an object.
@@ -90,6 +90,7 @@ BAD_MEASURES = {
     "overflow": '{"dim": 3, "mean": [1e400, 0.0, 0.0], ' + _UNIT + '}',
     "trailing_comma": '{"dim": 3, "mean": [0.0, 0.0, 0.0], ' + _UNIT + ',}',
     "empty": '',
+    "missing_cov": '{"dim": 3, "mean": [0.0, 0.0, 0.0]}',
 }
 
 # name -> model JSON for ``bayes``

@@ -61,3 +61,40 @@ def test_schedule_alternates_the_side_that_runs_first(tool):
         recorded = [(pair["seed"], pair["first"]) for pair in record["pairs"]]
         assert tool["schedule"](len(recorded)) == recorded
         assert record["held_out"]["seed"] == tool["HELD_OUT_SEED"]
+
+
+def _traced_stdout(eigvalsh_calls: float, init_ms: float, failed: int = 0) -> list[str]:
+    """What ``perfbench/run.py --trace 1`` prints, cut down to two metrics."""
+    metrics = {"linalg.eigvalsh.calls": {"value": eigvalsh_calls, "unit": "calls/op"},
+               "gaussian.measure_init.ms": {"value": init_ms, "unit": "ms/op"}}
+    return ['# meta {"cpu": "x", "nproc": 2}',
+            "# traced: 4 coverage operations + 1 cycle(s) of 2 operations; per-op values divide by 2",
+            f"linalg.eigvalsh.calls = {eigvalsh_calls:.6g} calls/op",
+            f"gaussian.measure_init.ms = {init_ms:.6g} ms/op",
+            json.dumps({"correct": 6 - failed, "attempted": 6, "failed": failed,
+                        "metrics": metrics})]
+
+
+def test_traced_records_every_per_layer_metric_of_both_runs(tool):
+    outputs = {"parent": _traced_stdout(25.5, 656.79891234), "change": _traced_stdout(8.0, 61.25)}
+    record = tool["traced"](outputs, "dense-800", 25)
+    assert record["what"].startswith("one traced run per commit: perfbench/run.py --workload "
+                                     "dense-800 --seed 3 --seconds 25 --trace 1")
+    assert record["metrics"] == {
+        "linalg.eigvalsh.calls": {"parent": 25.5, "change": 8.0, "unit": "calls/op"},
+        "gaussian.measure_init.ms": {"parent": 656.7989, "change": 61.25, "unit": "ms/op"},
+    }
+    assert record["runs"]["change"] == {"attempted": 6, "failed": 0, "correct": 6}
+    assert tool["run_meta"](outputs["parent"]) == {"cpu": "x", "nproc": 2}
+
+
+def test_traced_keeps_a_metric_only_one_side_reports(tool):
+    parent = _traced_stdout(25.5, 656.8)
+    last = json.loads(parent[-1])
+    del last["metrics"]["gaussian.measure_init.ms"]
+    parent[-1] = json.dumps(last)
+    record = tool["traced"]({"parent": parent, "change": _traced_stdout(8.0, 61.25, failed=1)},
+                            "dense-800", 25)
+    assert record["metrics"]["gaussian.measure_init.ms"] == {"parent": None, "change": 61.25,
+                                                             "unit": "ms/op"}
+    assert record["runs"]["change"]["failed"] == 1

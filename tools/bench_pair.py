@@ -3,7 +3,7 @@
 Usage::
 
     python tools/bench_pair.py --parent HEAD~1 --change HEAD --workload dense-800 \\
-        --claim dense-800:ops_per_s --out BENCH_<n>.json
+        --claim dense-800:ops_per_s --traced dense-800 --out BENCH_<n>.json
 
 Run it from inside the repository.  Each revision is exported with
 ``git archive`` into a temporary directory outside the repository, and each
@@ -22,7 +22,11 @@ the change is worse than the parent by more than the metric's bound; every
 figure is rounded to 4 decimals before the next is computed from it.  A
 ``--claim WORKLOAD:METRIC`` is met when the change wins at least 9 in 10 of
 at least 10 pairs, its median gain exceeds the parent's IQR and it also wins
-the held-out seed.  The tool only reports: it changes no bound and no workload.
+the held-out seed.  ``--traced W`` (repeatable, with or without ``--workload``)
+runs ``perfbench/run.py --workload W --seed 3 --seconds T --trace 1`` once per
+tree and records every per-layer metric of both runs under ``traced_W``
+(hyphens in ``W`` become underscores).  The tool only reports: it changes no
+bound and no workload.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import numpy as np
 
 PAIRS = 10
 HELD_OUT_SEED = 7919
+TRACED_SEED = 3
 RUN_KEYS = ("attempted", "failed", "correct")
 
 
@@ -108,17 +113,27 @@ def export(rev: str, dest: str) -> str:
     return commit
 
 
-def run(tree: str, workload: str, seed: int, seconds: float, end_to_end: list[dict]) -> tuple:
-    """One ``perfbench/run.py`` run in ``tree``: its rounded end-to-end figures and its meta."""
+def perfbench(tree: str, workload: str, seed: int, seconds: float, trace: int) -> list[str]:
+    """The stdout lines of one ``perfbench/run.py`` run in ``tree``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
-    print(f"# {os.path.basename(tree)} {workload} seed {seed}", file=sys.stderr, flush=True)
-    lines = subprocess.run(argv, cwd=tree, check=True, capture_output=True,
-                           text=True).stdout.splitlines()
-    meta = next(json.loads(line[len("# meta "):]) for line in lines if line.startswith("# meta "))
+            "--seconds", str(seconds), "--trace", str(trace)]
+    print(f"# {os.path.basename(tree)} {workload} seed {seed} trace {trace}", file=sys.stderr,
+          flush=True)
+    return subprocess.run(argv, cwd=tree, check=True, capture_output=True,
+                          text=True).stdout.splitlines()
+
+
+def run(tree: str, workload: str, seed: int, seconds: float, end_to_end: list[dict]) -> tuple:
+    """One untraced run in ``tree``: its rounded end-to-end figures and its meta."""
+    lines = perfbench(tree, workload, seed, seconds, 0)
     last = json.loads(lines[-1])
     figures = {spec["name"]: round(last["metrics"][spec["name"]]["value"], 4) for spec in end_to_end}
-    return {**figures, **{key: last[key] for key in RUN_KEYS}}, meta
+    return {**figures, **{key: last[key] for key in RUN_KEYS}}, run_meta(lines)
+
+
+def run_meta(lines: list[str]) -> dict:
+    """The ``# meta`` record of a run's stdout lines: machine, interpreter and libraries."""
+    return next(json.loads(line[len("# meta "):]) for line in lines if line.startswith("# meta "))
 
 
 def measure(trees: dict, workload: str, seconds: float, end_to_end: list[dict]):
@@ -140,14 +155,36 @@ def measure(trees: dict, workload: str, seconds: float, end_to_end: list[dict]):
     }, meta
 
 
+def traced(outputs: dict, workload: str, seconds: float) -> dict:
+    """The record of one traced run per side from each run's stdout lines (``side -> lines``):
+    every per-layer metric of the runs' last line, rounded, and each run's outcome."""
+    lasts = {side: json.loads(lines[-1]) for side, lines in outputs.items()}
+    metrics = {}
+    for side, last in lasts.items():
+        for name, metric in last["metrics"].items():
+            entry = metrics.setdefault(name, {"parent": None, "change": None,
+                                              "unit": metric["unit"]})
+            entry[side] = round(metric["value"], 4)
+    return {
+        "what": f"one traced run per commit: perfbench/run.py --workload {workload} --seed "
+                f"{TRACED_SEED} --seconds {seconds:g} --trace 1; per-operation values",
+        "runs": {side: {key: last[key] for key in RUN_KEYS} for side, last in lasts.items()},
+        "metrics": metrics,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision measured as the parent")
     parser.add_argument("--change", required=True, help="revision measured as the change")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append", default=[])
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC whose gain is claimed")
+    parser.add_argument("--traced", action="append", default=[],
+                        help="workload of one traced run per side, recorded per layer")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    if not args.workload and not args.traced:
+        parser.error("give at least one --workload or --traced")
     if args.claim is not None:
         claimed_workload, _, claimed_metric = args.claim.partition(":")
         if claimed_workload not in args.workload:
@@ -171,6 +208,12 @@ def main(argv=None) -> int:
         workloads, meta = {}, {}
         for workload in args.workload:
             workloads[workload], meta = measure(trees, workload, seconds, end_to_end)
+        traced_runs = {}
+        for workload in args.traced:
+            outputs = {side: perfbench(tree, workload, TRACED_SEED, seconds, 1)
+                       for side, tree in trees.items()}
+            traced_runs[f"traced_{workload.replace('-', '_')}"] = traced(outputs, workload, seconds)
+            meta = run_meta(outputs["change"])
 
     report = {
         "what": f"Paired end-to-end runs of perfbench/run.py (--trace 0, {seconds:g} s) "
@@ -192,6 +235,7 @@ def main(argv=None) -> int:
     if args.claim is not None:
         report["claim"] = claim(workloads[claimed_workload], claimed_workload, specs[claimed_metric])
     report["workloads"] = workloads
+    report.update(traced_runs)
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

@@ -217,9 +217,11 @@ def _spectrum_verdicts(factor: np.ndarray, norm: float, floor: float = PSD_CLIP)
     ``m eps norm`` for the rounding of the factorization and of ``eigvalsh``.
     """
     n = factor.shape[0]
+    if n == 0:
+        return None, None
     rcond, info = scipy.linalg.lapack.dpocon(factor, norm, uplo="L")
     inv_estimate = rcond * norm  # 1 / e
-    if n == 0 or info != 0 or not 0.0 < inv_estimate < np.inf:
+    if info != 0 or not 0.0 < inv_estimate < np.inf:
         return None, None
     root, slack = np.sqrt(n), max(n, 16)
     noise = slack * np.finfo(float).eps * norm

@@ -42,7 +42,7 @@ class LinearGaussianModel:
             raise DimMismatch(f"observation length {y.shape[0]} does not match forward rows {obs_dim}")
         if _factor_verdicts(gamma.entries, lambda: np.linalg.eigvalsh(gamma.entries))[1]:
             raise NotPositive("noise covariance must be strictly positive definite")
-        if prior._checked_factor()[1]:
+        if _factor_verdicts(prior.cov.entries, lambda: prior.eigenvalues)[1]:
             raise NotPositive("prior covariance must be strictly positive definite")
         a.flags.writeable = False
         y.flags.writeable = False

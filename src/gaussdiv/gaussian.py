@@ -34,10 +34,12 @@ import scipy.linalg
 from .errors import Degenerate, DimMismatch, NonFinite, NotPositive, NotPSD, SingularPair
 from .logdet import LogDetPath, _endpoint_path, _interior, _kl_limit
 from .operators import (
+    CONDITION_WARN,
     PSD_CLIP,
     SINGULAR_MARGIN,
     Spectrum,
     TraceClassBlock,
+    _ESTIMATE_MIN_DIM,
     _for_row_blocks,
     _ill_conditioned,
     _shifted_cholesky,
@@ -87,6 +89,16 @@ def _float_array(data: dict, field: str) -> np.ndarray:
         raise ValueError(f"field {field!r} is not an array of numbers: {exc}") from exc
 
 
+def _cholesky_accepts(matrix: np.ndarray) -> bool:
+    """Whether the Cholesky factor of ``matrix + PSD_CLIP I`` exists and its condition estimate
+    shows that ``eigvalsh(matrix)`` has no eigenvalue below ``-PSD_CLIP``."""
+    try:
+        factor = _shifted_cholesky(matrix, PSD_CLIP)[0]
+    except NotPositive:
+        return False
+    return _spectrum_verdicts(factor, matrix, PSD_CLIP, 0.0)[0] is False
+
+
 def _factor_verdicts(matrix: np.ndarray, eigenvalues):
     """The lower Cholesky factor of ``matrix`` (None where it fails), whether its smallest
     eigenvalue is at or below ``PSD_CLIP`` and whether its condition number is beyond
@@ -97,7 +109,7 @@ def _factor_verdicts(matrix: np.ndarray, eigenvalues):
     except NotPositive:
         factor = None
     if factor is not None:
-        degenerate, ill = _spectrum_verdicts(factor, np.linalg.norm(matrix, 1))
+        degenerate, ill = _spectrum_verdicts(factor, matrix)
         if degenerate or (degenerate is False and ill is not None):
             return factor, degenerate, bool(ill)
     lam = eigenvalues()
@@ -108,16 +120,19 @@ def _factor_verdicts(matrix: np.ndarray, eigenvalues):
 class GaussianMeasure:
     """Gaussian measure ``N(mean, cov)`` with PSD covariance on the finite carrier.
 
-    The covariance is accepted when the Cholesky factor of ``cov + PSD_CLIP I``
-    exists and its condition estimate shows no eigenvalue below ``-PSD_CLIP``;
-    otherwise ``eigvalsh`` decides, and an eigenvalue below ``-PSD_CLIP`` raises
-    :class:`~gaussdiv.errors.NotPSD`.  ``eigenvalues``, the ascending, read-only
-    spectrum of ``cov``, and ``spectrum``, its eigendecomposition, are computed on
-    first use: the regularized KL reads the first, whitening against this
-    measure, sampling from it and its square root the second.
+    From dimension ``_ESTIMATE_MIN_DIM`` (32) on, the covariance is accepted
+    when the Cholesky factor of ``cov + PSD_CLIP I`` exists and its condition
+    estimate shows no eigenvalue below ``-PSD_CLIP``; below that dimension, and
+    wherever the factor or the estimate does not settle it, ``eigvalsh``
+    decides, and an eigenvalue below ``-PSD_CLIP`` raises
+    :class:`~gaussdiv.errors.NotPSD`.  Otherwise ``eigenvalues``, the ascending,
+    read-only spectrum of ``cov``, is computed on first use, as is ``spectrum``,
+    its eigendecomposition: the KL limits and the fallback verdicts read the
+    first, whitening against this measure, sampling from it and its square root
+    the second.
     """
 
-    __slots__ = ("mean", "cov", "_eigenvalues", "_spectrum", "_factor")
+    __slots__ = ("mean", "cov", "_eigenvalues", "_spectrum")
 
     def __init__(self, mean, cov):
         m = np.array(mean, dtype=float)
@@ -131,13 +146,8 @@ class GaussianMeasure:
             raise DimMismatch(f"mean length {m.shape[0]} does not match cov dim {cov.dim}")
         self.mean = m
         self.cov = cov
-        self._eigenvalues = self._spectrum = self._factor = None
-        try:
-            factor = _shifted_cholesky(cov.entries, PSD_CLIP)[0]
-        except NotPositive:
-            factor = None
-        if factor is None or _spectrum_verdicts(factor, np.linalg.norm(cov.entries, 1) + PSD_CLIP,
-                                                0.0)[0] is not False:
+        self._eigenvalues = self._spectrum = None
+        if cov.dim < _ESTIMATE_MIN_DIM or not _cholesky_accepts(cov.entries):
             lam = self.eigenvalues
             if lam.size and float(np.min(lam)) < -PSD_CLIP:
                 raise NotPSD("covariance has a genuinely negative eigenvalue")
@@ -151,17 +161,6 @@ class GaussianMeasure:
             lam.flags.writeable = False
             self._eigenvalues = lam
         return self._eigenvalues
-
-    def _checked_factor(self) -> tuple[np.ndarray | None, bool, bool]:
-        """:func:`_factor_verdicts` of ``cov``, computed on first use, with the factor
-        lower-triangular and read-only: every pair whitening against this measure shares it."""
-        if self._factor is None:
-            factor, degenerate, ill = _factor_verdicts(self.cov.entries, lambda: self.eigenvalues)
-            if factor is not None:
-                factor = np.tril(factor)
-                factor.flags.writeable = False
-            self._factor = factor, degenerate, ill
-        return self._factor
 
     @property
     def spectrum(self) -> Spectrum:
@@ -201,9 +200,8 @@ class GaussianPair:
     Each quantity takes the cheapest factorization that gives it, chosen by the
     order alone, so a sweep record and a standalone call agree exactly.  The
     exact divergences and the log density ratio whiten by ``base_factor``, the
-    Cholesky factor ``L`` of ``mu.cov``, which every pair on that base shares and
-    whose condition estimate says whether the base is degenerate or
-    ill-conditioned: ``s_block`` is ``S = I - L^{-1} C_nu L^{-T}``,
+    Cholesky factor ``L`` of ``mu.cov``, whose condition estimate says whether the
+    base is degenerate or ill-conditioned: ``s_block`` is ``S = I - L^{-1} C_nu L^{-T}``,
     so ``nu.cov = L (I - S) L^T``, and ``delta = L^{-1}(m_nu - m_mu)``; any other
     whitening changes both by one rotation, which no divergence sees.  The KL
     and ``singular`` (the top eigenvalue of ``S`` within ``SINGULAR_MARGIN`` of
@@ -239,13 +237,13 @@ class GaussianPair:
         factor and its condition estimate; ``mu.eigenvalues`` settles them where the
         estimate lies within the allowed margins of either threshold.
         """
-        factor, degenerate, ill = self.mu._checked_factor()
+        factor, degenerate, ill = _factor_verdicts(self.mu.cov.entries, lambda: self.mu.eigenvalues)
         if degenerate:
             raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
         _warn_ill_conditioned(ill)
         if factor is None:
             raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
-        return factor
+        return np.tril(factor)
 
     @cached_property
     def s_block(self) -> TraceClassBlock:
@@ -334,9 +332,13 @@ class GaussianPair:
             blend = (1.0 - r) * self.nu.cov.entries + r * self.mu.cov.entries
             factor, ld_blend = _shifted_cholesky(blend, gamma)
             result = _interior(alpha, 1.0 - r, r, ld_blend, *self._logdets[gamma], gamma, gamma)
-            ill = _spectrum_verdicts(factor, np.linalg.norm(blend, 1) + gamma)[1]
+            ill = _spectrum_verdicts(factor, blend, gamma)[1]
             if ill is None:
-                ill = _ill_conditioned(np.linalg.eigvalsh(blend) + gamma)
+                # Weyl's inequalities bound the shifted blend's condition number by top / bottom.
+                lam_nu, lam_mu = self.nu.eigenvalues, self.mu.eigenvalues
+                top = (1.0 - r) * float(lam_nu[-1]) + r * float(lam_mu[-1]) + gamma
+                bottom = (1.0 - r) * float(lam_nu[0]) + r * float(lam_mu[0]) + gamma
+                ill = top > CONDITION_WARN * bottom and _ill_conditioned(np.linalg.eigvalsh(blend) + gamma)
             _warn_ill_conditioned(ill)
             z = scipy.linalg.solve_triangular(factor, self.nu.mean - self.mu.mean, lower=True)
             return 0.5 * float(z @ z) + 0.5 * result.value

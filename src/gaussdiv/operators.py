@@ -53,6 +53,9 @@ _EIG_TOL = 1e-9
 # Inverting a matrix whose condition number is beyond this is numerically
 # suspect; results still return, with a warning attached.
 CONDITION_WARN = 1e12
+# From this dimension on, a Cholesky factor and its condition estimate cost less than
+# eigvalsh (at one BLAS thread: 70 against 140 us at dimension 60, 45 against 34 us at 20).
+_ESTIMATE_MIN_DIM = 32
 
 
 def _as_square_matrix(entries, *, what: str) -> np.ndarray:
@@ -205,27 +208,29 @@ def _shifted_cholesky(matrix: np.ndarray, shift: float) -> tuple[np.ndarray, flo
     return factor, 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
-def _spectrum_verdicts(factor: np.ndarray, norm: float, floor: float = PSD_CLIP):
-    """Whether ``lam = eigvalsh(A)`` would have ``lam[0] <= floor`` and whether it would have
-    ``lam[-1] > CONDITION_WARN * lam[0]``, each None where this cannot tell, for the symmetric
-    ``A`` of lower Cholesky factor ``factor`` and 1-norm ``norm``.
+def _spectrum_verdicts(factor: np.ndarray, matrix: np.ndarray, shift: float = 0.0,
+                       floor: float = PSD_CLIP):
+    """Whether ``lam = eigvalsh(matrix) + shift`` would have ``lam[0] <= floor`` and whether it
+    would have ``lam[-1] > CONDITION_WARN * lam[0]``, each None where this cannot tell, from
+    ``factor``, the lower Cholesky factor of ``A = matrix + shift I``.
 
     LAPACK's estimate ``e`` of ``||A^-1||_1`` (``dpocon``, a few triangular solves) is a lower
     bound, so ``lambda_min <= sqrt(n) / e``; it is rarely below the norm by more than a factor
-    3, and a factor ``m = max(n, 16)`` is allowed for, so ``lambda_min >= 1 / (m e)``.  The
-    largest eigenvalue lies in ``[norm / sqrt(n), norm]``.  Every bound is widened by
-    ``m eps norm`` for the rounding of the factorization and of ``eigvalsh``.
+    3, and a factor ``n`` is allowed for, so ``lambda_min >= 1 / (n e)``.  The largest
+    eigenvalue lies in ``[||A||_1 / sqrt(n), ||A||_1]``.  Every bound is widened by
+    ``n eps ||A||_1`` for the rounding of the factorization and of ``eigvalsh``.  Below
+    ``_ESTIMATE_MIN_DIM`` nothing is told: ``eigvalsh`` costs less there.
     """
     n = factor.shape[0]
-    if n == 0:
+    if n < _ESTIMATE_MIN_DIM:
         return None, None
+    norm = float(np.linalg.norm(matrix, 1)) + shift
     rcond, info = scipy.linalg.lapack.dpocon(factor, norm, uplo="L")
     inv_estimate = rcond * norm  # 1 / e
     if info != 0 or not 0.0 < inv_estimate < np.inf:
         return None, None
-    root, slack = np.sqrt(n), max(n, 16)
-    noise = slack * np.finfo(float).eps * norm
-    lo, hi = inv_estimate / slack - noise, root * inv_estimate + noise
+    root, noise = np.sqrt(n), n * np.finfo(float).eps * norm
+    lo, hi = inv_estimate / n - noise, root * inv_estimate + noise
     top_lo, top_hi = norm / root - noise, norm + noise
     below = True if hi <= floor else False if lo > floor else None
     ill = True if top_lo > CONDITION_WARN * hi else False if top_hi <= CONDITION_WARN * lo else None

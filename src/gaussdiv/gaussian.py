@@ -103,7 +103,8 @@ def _factor_verdicts(matrix: np.ndarray, eigenvalues):
     """The lower Cholesky factor of ``matrix`` (None where it fails), whether its smallest
     eigenvalue is at or below ``PSD_CLIP`` and whether its condition number is beyond
     ``CONDITION_WARN``.  Both verdicts are those of ``eigenvalues()``, its ascending
-    ``eigvalsh``, which runs only where the factor's condition estimate cannot settle them."""
+    ``eigvalsh``, which runs only where the factor's condition estimate cannot settle them
+    (below dimension ``_ESTIMATE_MIN_DIM``, always)."""
     try:
         factor = _shifted_cholesky(matrix, 0.0)[0]
     except NotPositive:
@@ -234,8 +235,9 @@ class GaussianPair:
         below ``PSD_CLIP`` or the factorization fails, and a warning
         :class:`~gaussdiv.errors.IllConditioned` (before a failure, too) when its
         condition number is beyond ``CONDITION_WARN``.  Both verdicts come from the
-        factor and its condition estimate; ``mu.eigenvalues`` settles them where the
-        estimate lies within the allowed margins of either threshold.
+        factor and its condition estimate; ``mu.eigenvalues`` settles them below
+        dimension 32 and where the estimate lies within the allowed margins of either
+        threshold.
         """
         factor, degenerate, ill = _factor_verdicts(self.mu.cov.entries, lambda: self.mu.eigenvalues)
         if degenerate:

@@ -12,8 +12,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimMismatch, NonFinite, NotPositive
-from .gaussian import GaussianMeasure, _check_record, _factor_verdicts, _field, _float_array
-from .operators import TraceClassBlock, _shifted_cholesky
+from .gaussian import GaussianMeasure, _check_record, _field, _float_array
+from .operators import TraceClassBlock, _exact_verdicts, _shifted_cholesky, _spectrum_verdicts
 
 
 class LinearGaussianModel:
@@ -40,9 +40,10 @@ class LinearGaussianModel:
             raise DimMismatch(f"prior dim {prior.dim} does not match forward columns {dim}")
         if y.shape[0] != obs_dim:
             raise DimMismatch(f"observation length {y.shape[0]} does not match forward rows {obs_dim}")
-        if _factor_verdicts(gamma.entries, lambda: np.linalg.eigvalsh(gamma.entries))[1]:
+        degenerate = _spectrum_verdicts(gamma.entries, 0.0)[0]
+        if degenerate or degenerate is None and _exact_verdicts(np.linalg.eigvalsh(gamma.entries))[1]:
             raise NotPositive("noise covariance must be strictly positive definite")
-        if _factor_verdicts(prior.cov.entries, lambda: prior.eigenvalues)[1]:
+        if prior._verdict("degenerate"):
             raise NotPositive("prior covariance must be strictly positive definite")
         a.flags.writeable = False
         y.flags.writeable = False

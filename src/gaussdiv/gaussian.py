@@ -39,9 +39,8 @@ from .operators import (
     SINGULAR_MARGIN,
     Spectrum,
     TraceClassBlock,
-    _ESTIMATE_MIN_DIM,
+    _exact_verdicts,
     _for_row_blocks,
-    _ill_conditioned,
     _shifted_cholesky,
     _shifted_logdet,
     _spectrum_verdicts,
@@ -79,6 +78,12 @@ def _field(data: dict, field: str):
         raise ValueError(f"field {field!r} is missing") from None
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` is a whole number: an integer or an integral float, but not a bool."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    return whole and not isinstance(value, bool)
+
+
 def _float_array(data: dict, field: str) -> np.ndarray:
     """``data[field]`` as a float array; a missing field or entries that are not numbers
     raise ``ValueError`` naming the field."""
@@ -89,51 +94,23 @@ def _float_array(data: dict, field: str) -> np.ndarray:
         raise ValueError(f"field {field!r} is not an array of numbers: {exc}") from exc
 
 
-def _cholesky_accepts(matrix: np.ndarray) -> bool:
-    """Whether the Cholesky factor of ``matrix + PSD_CLIP I`` exists and its condition estimate
-    shows that ``eigvalsh(matrix)`` has no eigenvalue below ``-PSD_CLIP``."""
-    try:
-        factor = _shifted_cholesky(matrix, PSD_CLIP)[0]
-    except NotPositive:
-        return False
-    return _spectrum_verdicts(factor, matrix, PSD_CLIP, 0.0)[0] is False
-
-
-def _factor_verdicts(matrix: np.ndarray, eigenvalues):
-    """The lower Cholesky factor of ``matrix`` (None where it fails), whether its smallest
-    eigenvalue is at or below ``PSD_CLIP`` and whether its condition number is beyond
-    ``CONDITION_WARN``.  Both verdicts are those of ``eigenvalues()``, its ascending
-    ``eigvalsh``, which runs only where the factor's condition estimate cannot settle them
-    (below dimension ``_ESTIMATE_MIN_DIM``, always)."""
-    try:
-        factor = _shifted_cholesky(matrix, 0.0)[0]
-    except NotPositive:
-        factor = None
-    if factor is not None:
-        degenerate, ill = _spectrum_verdicts(factor, matrix)
-        if degenerate or (degenerate is False and ill is not None):
-            return factor, degenerate, bool(ill)
-    lam = eigenvalues()
-    degenerate = lam.size == 0 or float(lam[0]) <= PSD_CLIP
-    return factor, degenerate, not degenerate and _ill_conditioned(lam)
-
-
 class GaussianMeasure:
     """Gaussian measure ``N(mean, cov)`` with PSD covariance on the finite carrier.
 
-    From dimension ``_ESTIMATE_MIN_DIM`` (32) on, the covariance is accepted
-    when the Cholesky factor of ``cov + PSD_CLIP I`` exists and its condition
-    estimate shows no eigenvalue below ``-PSD_CLIP``; below that dimension, and
-    wherever the factor or the estimate does not settle it, ``eigvalsh``
-    decides, and an eigenvalue below ``-PSD_CLIP`` raises
-    :class:`~gaussdiv.errors.NotPSD`.  Otherwise ``eigenvalues``, the ascending,
-    read-only spectrum of ``cov``, is computed on first use, as is ``spectrum``,
-    its eigendecomposition: the KL limits and the fallback verdicts read the
-    first, whitening against this measure, sampling from it and its square root
-    the second.
+    From dimension ``_ESTIMATE_MIN_DIM`` (32) on, the covariance is judged once,
+    when the measure is built, by the condition estimate of its Cholesky factor (of
+    ``cov + PSD_CLIP I`` where that fails or tells nothing, as for a singular one):
+    whether an eigenvalue lies below ``-PSD_CLIP`` (:class:`~gaussdiv.errors.NotPSD`),
+    whether the smallest is at or below ``PSD_CLIP`` and whether the condition
+    number is beyond ``CONDITION_WARN``.  The measure keeps the last two verdicts,
+    never the factor.  ``eigenvalues``, the ascending, read-only spectrum of
+    ``cov``, settles a verdict that the estimate leaves open, the first at once and
+    a kept one when it is first read; it is computed on first use, as is
+    ``spectrum``, its eigendecomposition, which whitening against this measure,
+    sampling from it and its square root read.
     """
 
-    __slots__ = ("mean", "cov", "_eigenvalues", "_spectrum")
+    __slots__ = ("mean", "cov", "_eigenvalues", "_spectrum", "_verdicts")
 
     def __init__(self, mean, cov):
         m = np.array(mean, dtype=float)
@@ -148,11 +125,22 @@ class GaussianMeasure:
         self.mean = m
         self.cov = cov
         self._eigenvalues = self._spectrum = None
-        if cov.dim < _ESTIMATE_MIN_DIM or not _cholesky_accepts(cov.entries):
-            lam = self.eigenvalues
-            if lam.size and float(np.min(lam)) < -PSD_CLIP:
-                raise NotPSD("covariance has a genuinely negative eigenvalue")
+        verdicts = _spectrum_verdicts(cov.entries, 0.0, (-PSD_CLIP, PSD_CLIP))
+        if verdicts == (None, None, None):  # as where a singular PSD covariance fails to factor
+            verdicts = (_spectrum_verdicts(cov.entries, PSD_CLIP, (0.0,))[0], *verdicts[1:])
+        self._verdicts = verdicts if verdicts[0] is False else _exact_verdicts(self.eigenvalues, verdicts)
+        if self._verdicts[0]:
+            raise NotPSD("covariance has a genuinely negative eigenvalue")
         m.flags.writeable = False
+
+    def _verdict(self, name: str) -> bool:
+        """Whether ``cov`` is ``"degenerate"``, its smallest eigenvalue at or below ``PSD_CLIP``,
+        or ``"ill"``-conditioned, its condition number beyond ``CONDITION_WARN``.  A verdict that
+        the condition estimate left open is settled from ``eigenvalues`` on its first read."""
+        index = ("not_psd", "degenerate", "ill").index(name)
+        if self._verdicts[index] is None:
+            self._verdicts = _exact_verdicts(self.eigenvalues, self._verdicts)
+        return self._verdicts[index]
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -183,8 +171,7 @@ class GaussianMeasure:
         wrong type raises ``ValueError`` naming it."""
         _check_record(data, "measure")
         dim = _field(data, "dim")
-        integral = isinstance(dim, numbers.Integral) or (isinstance(dim, float) and dim.is_integer())
-        if isinstance(dim, bool) or not integral:
+        if not _integral(dim):
             raise ValueError(f"field 'dim' must be an integer, got {dim!r}")
         measure = cls(_float_array(data, "mean"), _float_array(data, "cov"))
         if measure.dim != dim:
@@ -201,8 +188,8 @@ class GaussianPair:
     Each quantity takes the cheapest factorization that gives it, chosen by the
     order alone, so a sweep record and a standalone call agree exactly.  The
     exact divergences and the log density ratio whiten by ``base_factor``, the
-    Cholesky factor ``L`` of ``mu.cov``, whose condition estimate says whether the
-    base is degenerate or ill-conditioned: ``s_block`` is ``S = I - L^{-1} C_nu L^{-T}``,
+    Cholesky factor ``L`` of ``mu.cov``, taken once ``mu``'s kept verdicts clear the
+    base of degeneracy: ``s_block`` is ``S = I - L^{-1} C_nu L^{-T}``,
     so ``nu.cov = L (I - S) L^T``, and ``delta = L^{-1}(m_nu - m_mu)``; any other
     whitening changes both by one rotation, which no divergence sees.  The KL
     and ``singular`` (the top eigenvalue of ``S`` within ``SINGULAR_MARGIN`` of
@@ -234,18 +221,16 @@ class GaussianPair:
         :class:`~gaussdiv.errors.Degenerate` when ``mu.cov`` has an eigenvalue at or
         below ``PSD_CLIP`` or the factorization fails, and a warning
         :class:`~gaussdiv.errors.IllConditioned` (before a failure, too) when its
-        condition number is beyond ``CONDITION_WARN``.  Both verdicts come from the
-        factor and its condition estimate; ``mu.eigenvalues`` settles them below
-        dimension 32 and where the estimate lies within the allowed margins of either
-        threshold.
+        condition number is beyond ``CONDITION_WARN``.  Both verdicts are the ones
+        ``mu`` keeps: this only factors.
         """
-        factor, degenerate, ill = _factor_verdicts(self.mu.cov.entries, lambda: self.mu.eigenvalues)
-        if degenerate:
-            raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
-        _warn_ill_conditioned(ill)
-        if factor is None:
-            raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
-        return np.tril(factor)
+        if not self.mu._verdict("degenerate"):
+            _warn_ill_conditioned(self.mu._verdict("ill"))
+            try:
+                return np.tril(_shifted_cholesky(self.mu.cov.entries, 0.0)[0])
+            except NotPositive:
+                pass
+        raise Degenerate("matrix has an eigenvalue at or below the clip threshold")
 
     @cached_property
     def s_block(self) -> TraceClassBlock:
@@ -334,13 +319,13 @@ class GaussianPair:
             blend = (1.0 - r) * self.nu.cov.entries + r * self.mu.cov.entries
             factor, ld_blend = _shifted_cholesky(blend, gamma)
             result = _interior(alpha, 1.0 - r, r, ld_blend, *self._logdets[gamma], gamma, gamma)
-            ill = _spectrum_verdicts(factor, blend, gamma)[1]
+            ill = _spectrum_verdicts(blend, gamma, (), factor)[0]
             if ill is None:
                 # Weyl's inequalities bound the shifted blend's condition number by top / bottom.
                 lam_nu, lam_mu = self.nu.eigenvalues, self.mu.eigenvalues
                 top = (1.0 - r) * float(lam_nu[-1]) + r * float(lam_mu[-1]) + gamma
                 bottom = (1.0 - r) * float(lam_nu[0]) + r * float(lam_mu[0]) + gamma
-                ill = top > CONDITION_WARN * bottom and _ill_conditioned(np.linalg.eigvalsh(blend) + gamma)
+                ill = top > CONDITION_WARN * bottom and _exact_verdicts(np.linalg.eigvalsh(blend) + gamma)[2]
             _warn_ill_conditioned(ill)
             z = scipy.linalg.solve_triangular(factor, self.nu.mean - self.mu.mean, lower=True)
             return 0.5 * float(z @ z) + 0.5 * result.value
@@ -353,7 +338,7 @@ class GaussianPair:
             raise NotPositive("shifted operator is not positive definite")
         trace = float(np.sum((d + gamma) / shifted)) - self.nu.dim
         result = _kl_limit(alpha, path, ld_nu, ld_mu, trace, gamma, gamma)
-        _warn_ill_conditioned(_ill_conditioned(shifted))
+        _warn_ill_conditioned(_exact_verdicts(shifted)[2])
         return 0.5 * float(np.sum(proj * proj / shifted)) + 0.5 * result.value
 
 
@@ -512,6 +497,8 @@ def log_radon_nikodym_batch(
     """
     data = _equivalent_data(nu, mu, data)
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2:
+        raise ValueError(f"points must be a vector or a matrix, got shape {points.shape}")
     if points.shape[1] != mu.dim:
         raise DimMismatch(f"points have dim {points.shape[1]}, measures have dim {mu.dim}")
     if not np.all(np.isfinite(points)):

@@ -30,6 +30,7 @@ from .errors import NotPositive
 from .gaussian import (
     GaussianMeasure,
     GaussianPair,
+    _integral,
     exact_divergence,
     exact_renyi,
     log_radon_nikodym_batch,
@@ -162,8 +163,8 @@ def gen_measure(family: SpectrumFamily, seed: int, mean_scale: float = 0.0) -> G
 
 def sample_gaussian(measure: GaussianMeasure, n: int, seed: int) -> np.ndarray:
     """``n`` rows ``mean + C^{1/2} z`` with fresh standard normal ``z`` per row."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    if not _integral(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     root = _spectral_sqrt(measure.spectrum).entries
     dim = measure.dim
     samples = np.empty((int(n), dim))

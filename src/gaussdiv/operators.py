@@ -208,33 +208,49 @@ def _shifted_cholesky(matrix: np.ndarray, shift: float) -> tuple[np.ndarray, flo
     return factor, 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
-def _spectrum_verdicts(factor: np.ndarray, matrix: np.ndarray, shift: float = 0.0,
-                       floor: float = PSD_CLIP):
-    """Whether ``lam = eigvalsh(matrix) + shift`` would have ``lam[0] <= floor`` and whether it
-    would have ``lam[-1] > CONDITION_WARN * lam[0]``, each None where this cannot tell, from
-    ``factor``, the lower Cholesky factor of ``A = matrix + shift I``.
+def _spectrum_verdicts(matrix: np.ndarray, shift: float, floors=(PSD_CLIP,), factor=None) -> tuple:
+    """For ``lam = eigvalsh(matrix) + shift``: whether ``lam[0] <= floor``, for each of
+    ``floors``, then whether ``lam[-1] > CONDITION_WARN * lam[0]``; each None where the
+    condition estimate of the lower Cholesky factor of ``A = matrix + shift I`` (``factor``,
+    or taken here) cannot tell, as where that factorization fails.  :func:`_exact_verdicts`
+    settles what stays open.
 
     LAPACK's estimate ``e`` of ``||A^-1||_1`` (``dpocon``, a few triangular solves) is a lower
     bound, so ``lambda_min <= sqrt(n) / e``; it is rarely below the norm by more than a factor
     3, and a factor ``n`` is allowed for, so ``lambda_min >= 1 / (n e)``.  The largest
     eigenvalue lies in ``[||A||_1 / sqrt(n), ||A||_1]``.  Every bound is widened by
     ``n eps ||A||_1`` for the rounding of the factorization and of ``eigvalsh``.  Below
-    ``_ESTIMATE_MIN_DIM`` nothing is told: ``eigvalsh`` costs less there.
+    ``_ESTIMATE_MIN_DIM`` nothing is told or factored: ``eigvalsh`` costs less there.
     """
-    n = factor.shape[0]
+    n, unknown = matrix.shape[0], (None,) * (len(floors) + 1)
     if n < _ESTIMATE_MIN_DIM:
-        return None, None
+        return unknown
+    try:
+        factor = _shifted_cholesky(matrix, shift)[0] if factor is None else factor
+    except NotPositive:
+        return unknown
     norm = float(np.linalg.norm(matrix, 1)) + shift
     rcond, info = scipy.linalg.lapack.dpocon(factor, norm, uplo="L")
     inv_estimate = rcond * norm  # 1 / e
     if info != 0 or not 0.0 < inv_estimate < np.inf:
-        return None, None
+        return unknown
     root, noise = np.sqrt(n), n * np.finfo(float).eps * norm
     lo, hi = inv_estimate / n - noise, root * inv_estimate + noise
     top_lo, top_hi = norm / root - noise, norm + noise
-    below = True if hi <= floor else False if lo > floor else None
     ill = True if top_lo > CONDITION_WARN * hi else False if top_hi <= CONDITION_WARN * lo else None
-    return below, ill
+    return (*(True if hi <= floor else False if lo > floor else None for floor in floors), ill)
+
+
+def _exact_verdicts(lam: np.ndarray, verdicts=(None, None, None)) -> tuple:
+    """``verdicts``, ``(not_psd, degenerate, ill)``, with each open one settled from ``lam``,
+    the ascending eigenvalues, by the exact rules: an eigenvalue below ``-PSD_CLIP``; none at
+    all, or the smallest at or below ``PSD_CLIP``; a spectrum spanning more than
+    ``CONDITION_WARN``, where a nonpositive minimum counts as beyond it (this last reads
+    ``lam`` in any order)."""
+    low = float(lam[0]) if lam.size else 0.0
+    ill = bool(lam.size) and float(np.max(lam)) > CONDITION_WARN * float(np.min(lam))
+    exact = (low < -PSD_CLIP, low <= PSD_CLIP, ill)
+    return tuple(e if v is None else v for v, e in zip(verdicts, exact))
 
 
 def _shifted_logdet(tau: np.ndarray, c: float) -> float:
@@ -331,16 +347,10 @@ def psd_sqrt(T: TraceClassBlock) -> TraceClassBlock:
 def _spectral_sqrt(spec: Spectrum) -> TraceClassBlock:
     """:func:`psd_sqrt` of the matrix whose eigendecomposition is ``spec``."""
     lam = spec.eigenvalues
-    if lam.size and float(np.min(lam)) < -PSD_CLIP:
+    if _exact_verdicts(lam[::-1])[0]:
         raise NotPSD("matrix has a genuinely negative eigenvalue")
     root = (spec.eigenvectors * np.sqrt(np.clip(lam, 0.0, None))) @ spec.eigenvectors.T
     return TraceClassBlock(0.5 * (root + root.T))
-
-
-def _ill_conditioned(lam: np.ndarray) -> bool:
-    """Whether the spectrum ``lam`` of a matrix about to be inverted spans more than
-    ``CONDITION_WARN``; a nonpositive minimum counts as beyond it."""
-    return float(np.max(lam)) > CONDITION_WARN * float(np.min(lam))
 
 
 def _warn_ill_conditioned(ill: bool) -> None:

@@ -318,6 +318,9 @@ class TestLogRadonNikodym:
             gd.log_radon_nikodym_batch(np.array([[math.nan]]), HALF, UNIT)
         with pytest.raises(gd.NonFinite):
             gd.log_radon_nikodym_batch(np.array([[math.inf]]), HALF, UNIT)
+        half3, unit3 = (gd.GaussianMeasure(np.zeros(3), c * np.eye(3)) for c in (0.5, 1.0))
+        with pytest.raises(ValueError, match=r"shape \(2, 3, 3\)"):
+            gd.log_radon_nikodym_batch(np.zeros((2, 3, 3)), half3, unit3)
 
 
 class TestRegularized:

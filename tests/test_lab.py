@@ -120,6 +120,14 @@ class TestSampling:
         assert np.array_equal(a, b)
         with pytest.raises(ValueError):
             gd.sample_gaussian(measure, 0, seed=11)
+        # n follows the integral rule of a measure record's dim.
+        for n in (2.5, True, "2", None):
+            with pytest.raises(ValueError, match="positive integer"):
+                gd.sample_gaussian(measure, n, seed=11)
+        with pytest.raises(ValueError, match="positive integer"):
+            gd.mc_kl_check(measure, measure, 2.5, 1)
+        assert np.array_equal(gd.sample_gaussian(measure, 2.0, seed=11), a[:2])
+        assert np.array_equal(gd.sample_gaussian(measure, np.int64(2), seed=11), a[:2])
 
     def test_sample_moments_standard_normal(self):
         n = 100_000

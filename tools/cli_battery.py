@@ -24,10 +24,16 @@ threshold, so its exact values report ``Degenerate`` and its regularized ones
 stay finite), an ill-conditioned pair whose regularized values warn
 ``IllConditioned`` and a dim-4 pair whose means lie about 1e160 apart, so
 every divergence but the Hellinger distance overflows a double
-(``far/near``).  ``rn-check --n 2000`` runs on the built-in pair at seeds 7
-and 42, on the pairs ``p3/e3``, ``p8/e8`` and ``p40/e40`` (the last fails
-its normalization check, exit 1), on the singular, the degenerate and the far
-pair, and with ``--nu`` alone.  ``div``
+(``far/near``).  From dimension 32 on a verdict comes from a Cholesky factor
+and its condition estimate, so four dim-40 measures run against ``p40`` and
+``e40`` in both directions.  The estimate settles the ``Degenerate`` base of
+two: ``deg40`` (eigenvalues from 1 to 1e-3, then 1e-14) and ``ill40``
+(spread from 1 to 1e-14, condition 1e14).  It leaves two to ``eigvalsh``:
+``clip40`` (smallest eigenvalue 2e-12, near the clip) and ``warn40``
+(condition 1.2e12, near the warning).  ``rn-check --n 2000`` runs on the
+built-in pair at seeds 7 and 42, on the pairs ``p3/e3``, ``p8/e8`` and
+``p40/e40`` (the last fails its normalization check, exit 1), on the
+singular, the degenerate and the far pair, and with ``--nu`` alone.  ``div``
 reads measure files that are not strict JSON (``NaN``, ``Infinity``, ``1e400``,
 a 400-digit integer, a trailing comma, an empty file) or not a measure (a
 ``mean`` object, a ``dim`` of null or a list, a top-level list, no ``cov``).  ``bayes``
@@ -53,6 +59,13 @@ DIV_GAMMAS = (None, "1e-2", "1e-6", "1e-10", "1e-14", "1e-320", "5e-324", "0", "
 SWEEP_R_GAMMAS = ("0", "1e-3", "1e-8", "1e-14", "1e-320")
 R_GRIDS = (("0.05", "0.95", "5"), ("1e-13", "0.9999999999999", "3"))
 
+
+def _explicit40(top: float, bottom: float, lowest: float) -> str:
+    """``--values`` of a dim-40 measure: 39 eigenvalues spaced evenly in log from ``top`` down
+    to ``bottom``, then ``lowest``."""
+    return ",".join(f"{top * (bottom / top) ** (k / 38):.6g}" for k in range(39)) + f",{lowest:g}"
+
+
 # name -> gen arguments (the output path is appended)
 MEASURES = {
     **{f"p{dim}": ["--family", "powerlaw", "--dim", str(dim), "--seed", str(dim),
@@ -70,9 +83,16 @@ MEASURES = {
     "far": ["--family", "powerlaw", "--dim", "4", "--seed", "4", "--s", "1.5",
             "--mean-scale", "1e160"],
     "near": ["--family", "exp", "--dim", "4", "--seed", "104", "--rate", "0.4"],
+    **{name: ["--family", "explicit", "--values", _explicit40(*values), "--seed", str(seed)]
+       for name, values, seed in (("deg40", (1.0, 1e-3, 1e-14), 41),
+                                  ("ill40", (1.0, 1e-13, 1e-14), 42),
+                                  ("clip40", (1.0, 1e-3, 2e-12), 43),
+                                  ("warn40", (12.0, 1.2e-2, 1e-11), 44))},
 }
 PAIRS = [(f"p{d}", f"e{d}") for d in (3, 8, 20, 40)] + [(f"e{d}", f"p{d}") for d in (3, 8, 20, 40)]
 PAIRS += [("thin", "unit"), ("unit", "flat"), ("stiff", "soft"), ("soft", "stiff"), ("far", "near")]
+PAIRS += [pair for name in ("deg40", "ill40", "clip40", "warn40") for other in ("p40", "e40")
+          for pair in ((name, other), (other, name))]
 RN_PAIRS = [("p3", "e3"), ("p8", "e8"), ("p40", "e40"), ("thin", "unit"), ("unit", "flat"),
             ("far", "near")]
 

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 a statistical check failed, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -222,8 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads its arguments with, built on the first call and kept:
+    building the six subparsers takes longer than a dim-20 divergence, and parsing does
+    not change the parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except SingularPair:

@@ -29,7 +29,6 @@ import numbers
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import Degenerate, DimMismatch, NonFinite, NotPositive, NotPSD, SingularPair
 from .logdet import LogDetPath, _endpoint_path, _interior, _kl_limit
@@ -43,6 +42,7 @@ from .operators import (
     _for_row_blocks,
     _shifted_cholesky,
     _shifted_logdet,
+    _solve_lower,
     _spectrum_verdicts,
     _warn_ill_conditioned,
     sym_eigen,
@@ -204,7 +204,9 @@ class GaussianPair:
     and ``C_mu + gamma I`` (log-determinants cached per gamma) and of the shifted
     blend ``(1-r) C_nu + r C_mu + gamma I``, whose condition estimate decides the
     :class:`~gaussdiv.errors.IllConditioned` warning; only the KL limits read the
-    measures' ``eigenvalues``.
+    measures' ``eigenvalues``.  Every quantity that reads the means reads
+    ``mean_diff``, ``m_nu - m_mu``, which raises :class:`~gaussdiv.errors.NonFinite`
+    where it overflows a double.
     """
 
     def __init__(self, nu: GaussianMeasure, mu: GaussianMeasure):
@@ -235,8 +237,8 @@ class GaussianPair:
     @cached_property
     def s_block(self) -> TraceClassBlock:
         factor = self.base_factor
-        half = scipy.linalg.solve_triangular(factor, self.nu.cov.entries, lower=True)
-        s_mat = np.eye(self.nu.dim) - scipy.linalg.solve_triangular(factor, half.T, lower=True)
+        half = _solve_lower(factor, self.nu.cov.entries)
+        s_mat = np.eye(self.nu.dim) - _solve_lower(factor, half.T)
         return TraceClassBlock(0.5 * (s_mat + s_mat.T))
 
     @cached_property
@@ -248,8 +250,18 @@ class GaussianPair:
         return sym_eigen(self.s_block)
 
     @cached_property
+    def mean_diff(self) -> np.ndarray:
+        """``m_nu - m_mu``; :class:`~gaussdiv.errors.NonFinite` where it overflows a double."""
+        with np.errstate(over="ignore"):
+            diff = self.nu.mean - self.mu.mean
+        if not np.all(np.isfinite(diff)):
+            raise NonFinite("the mean difference m_nu - m_mu does not fit in a double")
+        diff.flags.writeable = False
+        return diff
+
+    @cached_property
     def delta(self) -> np.ndarray:
-        delta = scipy.linalg.solve_triangular(self.base_factor, self.nu.mean - self.mu.mean, lower=True)
+        delta = _solve_lower(self.base_factor, self.mean_diff)
         delta.flags.writeable = False
         return delta
 
@@ -262,7 +274,7 @@ class GaussianPair:
     def _rn_frame(self) -> np.ndarray:
         """``L^{-T} V``: the row ``x - m_mu`` times it is ``x`` whitened, in the eigenbasis of ``S``."""
         v = self.s_spectrum.eigenvectors
-        return scipy.linalg.solve_triangular(self.base_factor, v, lower=True, trans="T")
+        return _solve_lower(self.base_factor, v, trans=1)
 
     @cached_property
     def _mirror(self) -> "GaussianPair":
@@ -284,7 +296,7 @@ class GaussianPair:
         u = self.mu.spectrum.eigenvectors
         lam = np.einsum("ij,ij->j", u, self.mu.cov.entries @ u)
         d = np.einsum("ij,ij->j", u, self.nu.cov.entries @ u)
-        return lam, u.T @ (self.nu.mean - self.mu.mean), d
+        return lam, u.T @ self.mean_diff, d
 
     def regularized_renyi(self, r: float, gamma: float) -> float:
         """:func:`regularized_renyi` of the pair: the quadratic form plus half the
@@ -327,7 +339,7 @@ class GaussianPair:
                 bottom = (1.0 - r) * float(lam_nu[0]) + r * float(lam_mu[0]) + gamma
                 ill = top > CONDITION_WARN * bottom and _exact_verdicts(np.linalg.eigvalsh(blend) + gamma)[2]
             _warn_ill_conditioned(ill)
-            z = scipy.linalg.solve_triangular(factor, self.nu.mean - self.mu.mean, lower=True)
+            z = _solve_lower(factor, self.mean_diff)
             return 0.5 * float(z @ z) + 0.5 * result.value
         ld_nu = _shifted_logdet(self.nu.eigenvalues, gamma)
         ld_mu = _shifted_logdet(self.mu.eigenvalues, gamma)

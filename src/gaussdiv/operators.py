@@ -208,6 +208,21 @@ def _shifted_cholesky(matrix: np.ndarray, shift: float) -> tuple[np.ndarray, flo
     return factor, 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
+def _solve_lower(factor: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(factor, b, lower=True, trans=trans)``, bit for bit,
+    by one LAPACK ``dtrtrs`` call without the wrapper's checks, which cost about three times
+    the solve at dimension 20.  Only the lower triangle of ``factor`` is read.  The layout
+    rule is the wrapper's: a factor that is not Fortran-ordered is passed transposed, as the
+    upper factor of the transposed system.  A zero on the diagonal raises ``LinAlgError``."""
+    if factor.flags.f_contiguous:
+        x, info = scipy.linalg.lapack.dtrtrs(factor, b, lower=1, trans=trans)
+    else:
+        x, info = scipy.linalg.lapack.dtrtrs(factor.T, b, lower=0, trans=1 - trans)
+    if info > 0:
+        raise scipy.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
 def _spectrum_verdicts(matrix: np.ndarray, shift: float, floors=(PSD_CLIP,), factor=None) -> tuple:
     """For ``lam = eigvalsh(matrix) + shift``: whether ``lam[0] <= floor``, for each of
     ``floors``, then whether ``lam[-1] > CONDITION_WARN * lam[0]``; each None where the

@@ -53,6 +53,12 @@ def far_pair(offset=1e160):
     return nu, gen_measure(SpectrumFamily.exponential(4, 0.4), 104)
 
 
+def overflowing_mean_pair():
+    """A dim-2 equivalent pair with means at +-1e308, so that ``m_nu - m_mu`` overflows."""
+    nu = GaussianMeasure([1e308, -1e308], [[2.0, 0.5], [0.5, 1.0]])
+    return nu, GaussianMeasure([-1e308, 1e308], np.eye(2))
+
+
 def perturbed_pair(rng, dim, s_radius=0.5, mean_scale=0.4):
     """Equivalent pair: nu is mu pushed through I - S with spectrum in [-s_radius, s_radius]."""
     mu = rand_measure(rng, dim, lo=0.2, hi=2.0, mean_scale=0.3)

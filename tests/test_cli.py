@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gaussdiv as gd
-from gaussdiv.cli import _load_json, main
+from gaussdiv.cli import _load_json, build_parser, main
 from oracles import far_pair, rounded_zero_pair
 
 
@@ -450,3 +450,54 @@ class TestOverflow:
 
     def test_rn_check_exits_2_before_sampling(self, far_files, capsys):
         assert self._run(["rn-check", "--n", "100", "--seed", "1", *far_files], capsys) == 2
+
+
+class TestKeptParser:
+    """``main`` parses with one parser per process; it answers as a fresh one does."""
+
+    USAGE = {
+        "help": ["--help"],
+        "div help": ["div", "--help"],
+        "bad kind": ["div", "--kind", "nope", "--nu", "a.json", "--mu", "b.json"],
+        "gamma and exact": ["div", "--kind", "kl", "--gamma", "1e-3", "--exact",
+                            "--nu", "a.json", "--mu", "b.json"],
+        "empty": [],
+    }
+
+    @staticmethod
+    def _exit(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("name", list(USAGE))
+    def test_help_and_usage_errors_match_a_fresh_parser(self, name, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = self.USAGE[name]
+        fresh = self._exit(build_parser().parse_args, argv, capsys)
+        assert fresh[0] == (0 if "help" in name else 2)
+        for _ in range(2):
+            assert self._exit(main, argv, capsys) == fresh
+
+    def test_a_call_after_usage_errors_prints_what_it_prints_alone(self, pair_files, capsys):
+        nu_path, mu_path, nu, mu = pair_files
+        files = ["--nu", nu_path, "--mu", mu_path]
+        exact = ["div", "--kind", "kl", *files]
+        regularized = ["div", "--kind", "renyi", "--r", "0.3", "--gamma", "1e-3", *files]
+        alone = {}
+        for argv in (exact, regularized):
+            args = build_parser().parse_args(argv)
+            assert args.handler(args) == 0
+            alone[argv[2]] = capsys.readouterr()
+        assert alone["kl"].out == f"{gd.exact_kl(nu, mu):.17g}\n"
+        for argv in (regularized, *self.USAGE.values(), exact, regularized, exact):
+            if argv in self.USAGE.values():
+                self._exit(main, argv, capsys)
+            else:
+                # No option of one call, --gamma and --r among them, carries into the next.
+                assert main(argv) == 0
+                assert capsys.readouterr() == alone[argv[2]]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()

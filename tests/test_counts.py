@@ -3,23 +3,23 @@
 Counts are deterministic where wall-clock time is not, so they pin the work
 each subcommand does: a change that adds or drops an eigendecomposition, a
 dense solve, a Cholesky factorization, a condition estimate or a triangular
-solve shows up here.  From dimension 32 on, building a measure takes a
-Cholesky factor of its covariance and one condition estimate, and the measure
-keeps the verdicts; whitening against it, or a model over it as prior, reads
-them, so the base factor is one more Cholesky factor and no estimate.  A
-measure's eigenvalues are computed only where a divergence or an open verdict
-reads them.  Below dimension 32 (the noise of the ``bayes`` model, the
-measures of the sampler gate, the built-in ``rn-check`` pair) ``eigvalsh``
-decides at once.  The exact divergences whiten by a Cholesky factor of the
-base and take the eigenvalues of the whitened perturbation; only the orders inside (0, 1) and
-the log density ratio need its eigenvectors.  The regularized KL reads the
-base's eigendecomposition, which one pair object keeps for a whole sweep;
-the other regularized orders take Cholesky factors at each gamma.  No row
-makes a dense solve.  In the operator calculus each block is factored once:
-``alpha_logdet`` takes one Cholesky factor of each operator and, at interior
-orders, of their combination; at the endpoints its trace is a solve with the
-second operator's factor.  The inverse and the Carleman determinant read
-eigenvalues.
+solve (LAPACK's ``dtrtrs``, which the whitening calls directly) shows up
+here.  From dimension 32 on, building a measure takes a Cholesky factor of its
+covariance and one condition estimate, and the measure keeps the verdicts;
+whitening against it, or a model over it as prior, reads them, so the base
+factor is one more Cholesky factor and no estimate.  A measure's eigenvalues
+are computed only where a divergence or an open verdict reads them.  Below
+dimension 32 (the noise of the ``bayes`` model, the measures of the sampler
+gate, the built-in ``rn-check`` pair) ``eigvalsh`` decides at once.  The exact
+divergences whiten by a Cholesky factor of the base and take the eigenvalues
+of the whitened perturbation; only the orders inside (0, 1) and the log
+density ratio need its eigenvectors.  The regularized KL reads the base's
+eigendecomposition, which one pair object keeps for a whole sweep; the other
+regularized orders take Cholesky factors at each gamma.  No row makes a dense
+solve.  In the operator calculus each block is factored once: ``alpha_logdet``
+takes one Cholesky factor of each operator and, at interior orders, of their
+combination; at the endpoints its trace is a solve with the second operator's
+factor.  The inverse and the Carleman determinant read eigenvalues.
 """
 
 import json
@@ -35,8 +35,8 @@ from gaussdiv.cli import main
 
 COUNTED = (
     (np.linalg, ("eigh", "eigvalsh", "solve")),
-    (scipy.linalg, ("cho_factor", "cho_solve", "solve_triangular")),
-    (scipy.linalg.lapack, ("dpocon",)),
+    (scipy.linalg, ("cho_factor", "cho_solve")),
+    (scipy.linalg.lapack, ("dpocon", "dtrtrs")),
 )
 
 DIM = 60
@@ -44,33 +44,33 @@ DIM = 60
 CASES = {
     "div kl": (
         ["div", "--kind", "kl", "--nu", "{nu}", "--mu", "{mu}"],
-        {"cho_factor": 3, "dpocon": 2, "eigvalsh": 1, "solve_triangular": 3},
+        {"cho_factor": 3, "dpocon": 2, "eigvalsh": 1, "dtrtrs": 3},
     ),
     "div renyi regularized": (
         ["div", "--kind", "renyi", "--r", "0.3", "--gamma", "1e-4", "--nu", "{nu}", "--mu", "{mu}"],
-        {"cho_factor": 5, "dpocon": 3, "solve_triangular": 1},
+        {"cho_factor": 5, "dpocon": 3, "dtrtrs": 1},
     ),
     "sweep-gamma kl": (
         ["sweep-gamma", "--kind", "kl", "--from", "1e-1", "--to", "1e-8", "--points", "8",
          "--nu", "{nu}", "--mu", "{mu}", "--out", "{out}"],
-        {"cho_factor": 3, "dpocon": 2, "eigh": 1, "eigvalsh": 3, "solve_triangular": 3},
+        {"cho_factor": 3, "dpocon": 2, "eigh": 1, "eigvalsh": 3, "dtrtrs": 3},
     ),
     "sweep-r regularized": (
         ["sweep-r", "--gamma", "1e-6", "--from", "0.1", "--to", "0.9", "--points", "5",
          "--nu", "{nu}", "--mu", "{mu}", "--out", "{out}"],
-        {"cho_factor": 10, "dpocon": 7, "eigh": 1, "eigvalsh": 1, "solve_triangular": 8},
+        {"cho_factor": 10, "dpocon": 7, "eigh": 1, "eigvalsh": 1, "dtrtrs": 8},
     ),
     "bayes": (
         ["bayes", "--model", "{model}"],
-        {"cho_factor": 5, "cho_solve": 4, "dpocon": 2, "eigvalsh": 2, "solve_triangular": 3},
+        {"cho_factor": 5, "cho_solve": 4, "dpocon": 2, "eigvalsh": 2, "dtrtrs": 3},
     ),
     "rn-check": (
         ["rn-check", "--n", "2000", "--seed", "7", "--nu", "{nu}", "--mu", "{mu}"],
-        {"cho_factor": 3, "dpocon": 2, "eigh": 6, "eigvalsh": 4, "solve_triangular": 4},
+        {"cho_factor": 3, "dpocon": 2, "eigh": 6, "eigvalsh": 4, "dtrtrs": 4},
     ),
     "rn-check built-in pair": (
         ["rn-check", "--n", "2000", "--seed", "7"],
-        {"cho_factor": 1, "eigh": 6, "eigvalsh": 6, "solve_triangular": 4},
+        {"cho_factor": 1, "eigh": 6, "eigvalsh": 6, "dtrtrs": 4},
     ),
 }
 
@@ -133,7 +133,7 @@ def test_gamma_sweep_eigendecompositions_do_not_grow_with_the_grid(kind, paths, 
         assert main(argv) == 0
         counts.append(dict(calls))
     growth = {name: counts[1][name] - counts[0].get(name, 0) for name in counts[1]}
-    per_point = {} if kind == ["kl"] else {"cho_factor": 3, "dpocon": 1, "solve_triangular": 1}
+    per_point = {} if kind == ["kl"] else {"cho_factor": 3, "dpocon": 1, "dtrtrs": 1}
     assert {name: n for name, n in growth.items() if n} == {
         name: 5 * n for name, n in per_point.items()
     }

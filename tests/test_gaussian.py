@@ -17,6 +17,7 @@ from oracles import (
     far_pair,
     hellinger_closed,
     kl_closed,
+    overflowing_mean_pair,
     perturbed_pair,
     rand_measure,
     renyi_closed,
@@ -553,6 +554,28 @@ class TestOverflow:
             assert np.isfinite(gd.log_radon_nikodym(mu.mean, nu, mu))
             with pytest.raises(gd.NonFinite, match="log density ratio does not fit"):
                 gd.log_radon_nikodym(mu.mean + 1e200, nu, mu)
+
+    @pytest.mark.parametrize("gamma", [None, 1e-3], ids=["exact", "regularized"])
+    @pytest.mark.parametrize("kind, r", [("kl", None), ("bhatt", None), ("hellinger", None),
+                                         ("renyi", 1e-13), ("renyi", 0.3)])
+    def test_an_overflowing_mean_difference_raises(self, kind, r, gamma):
+        # Every route reads the pair's one mean difference: the whitened delta, the
+        # blend's solve and the KL terms.  The Hellinger distance is no exception.
+        nu, mu = overflowing_mean_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(gd.NonFinite, match="mean difference"):
+                if gamma is None:
+                    gd.exact_divergence(nu, mu, kind, r)
+                else:
+                    gd.regularized_divergence(nu, mu, kind, gamma, r)
+
+    def test_an_overflowing_mean_difference_raises_in_the_log_density_ratio(self):
+        nu, mu = overflowing_mean_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(gd.NonFinite, match="mean difference"):
+                gd.log_radon_nikodym_batch(np.zeros((3, 2)), nu, mu)
 
     def test_nan_raises_for_every_kind(self):
         # A NaN Renyi value would pass the Hellinger transform as 0.

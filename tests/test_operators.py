@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -222,6 +223,39 @@ class TestSpectralHelpers:
     def test_psd_sqrt_rejects_negative(self):
         with pytest.raises(gd.NotPSD):
             gd.psd_sqrt(gd.TraceClassBlock(np.diag([1.0, -0.1])))
+
+
+class TestSolveLower:
+    """``_solve_lower`` gives the bits of ``scipy.linalg.solve_triangular(lower=True)``."""
+
+    @staticmethod
+    def factors(dim):
+        # cho_factor's Fortran-ordered factor keeps the input above the diagonal; the
+        # whitening's base factor is np.tril of it, C-ordered.
+        rng = np.random.default_rng(dim)
+        factor = gd.operators._shifted_cholesky(rand_spd(rng, dim, lo=0.1, hi=3.0), 0.0)[0]
+        return {"F": factor, "C": np.ascontiguousarray(factor), "tril": np.tril(factor)}
+
+    @pytest.mark.parametrize("dim", [1, 20, 60, 200])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_bit_identical_to_solve_triangular(self, dim, trans):
+        rng = np.random.default_rng(1000 + dim)
+        matrix = rng.standard_normal((dim, dim + 3))
+        rhs = {"vector": rng.standard_normal(dim), "C matrix": matrix,
+               "F matrix": np.asfortranarray(matrix)}
+        for layout, factor in self.factors(dim).items():
+            for kind, b in rhs.items():
+                want = scipy.linalg.solve_triangular(factor, b, lower=True, trans=trans)
+                got = gd.operators._solve_lower(factor, b, trans)
+                assert got.shape == want.shape, (layout, kind)
+                assert np.array_equal(got, want), (layout, kind)
+
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    def test_a_zero_on_the_diagonal_raises(self, layout):
+        factor = self.factors(20)[layout].copy()
+        factor[7, 7] = 0.0
+        with pytest.raises(scipy.linalg.LinAlgError):
+            gd.operators._solve_lower(factor, np.ones(20))
 
 
 @st.composite

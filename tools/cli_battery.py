@@ -8,7 +8,9 @@ The battery imports ``gaussdiv`` from ``--src`` and calls ``gaussdiv.cli.main``
 in-process.  For every call it prints the arguments, the exit code, stdout,
 stderr, the warnings raised (category and message, without the source
 location, which moves with the code) and the bytes of every file the call
-wrote.  An exception that escapes ``main`` is printed in place of the exit
+wrote.  A ``SystemExit`` from ``main`` (argparse's help and usage errors) prints
+its code as ``exit=SystemExit(<code>)``; help is formatted for ``COLUMNS=80``.
+Any other exception that escapes ``main`` is printed in place of the exit
 code, the remaining calls still run, and the battery exits 1.  Two commits
 agree on the whole CLI contract when the outputs of their batteries are
 byte-identical (``cmp``).
@@ -24,7 +26,8 @@ threshold, so its exact values report ``Degenerate`` and its regularized ones
 stay finite), an ill-conditioned pair whose regularized values warn
 ``IllConditioned`` and a dim-4 pair whose means lie about 1e160 apart, so
 every divergence but the Hellinger distance overflows a double
-(``far/near``).  From dimension 32 on a verdict comes from a Cholesky factor
+(``far/near``), and a dim-2 pair with means at +-1e308, whose mean difference
+itself overflows (``top/bottom``, written as files, not by ``gen``).  From dimension 32 on a verdict comes from a Cholesky factor
 and its condition estimate, so four dim-40 measures run against ``p40`` and
 ``e40`` in both directions.  The estimate settles the ``Degenerate`` base of
 two: ``deg40`` (eigenvalues from 1 to 1e-3, then 1e-14) and ``ill40``
@@ -33,7 +36,10 @@ two: ``deg40`` (eigenvalues from 1 to 1e-3, then 1e-14) and ``ill40``
 (condition 1.2e12, near the warning).  ``rn-check --n 2000`` runs on the
 built-in pair at seeds 7 and 42, on the pairs ``p3/e3``, ``p8/e8`` and
 ``p40/e40`` (the last fails its normalization check, exit 1), on the
-singular, the degenerate and the far pair, and with ``--nu`` alone.  ``div``
+singular, the degenerate, the far and the ``top/bottom`` pair, and with
+``--nu`` alone.  The parser: ``--help``, ``div --help`` and two usage errors
+(an unknown ``--kind``; ``--gamma`` with ``--exact``), each followed by a valid
+``div`` call, so that nothing of one parse carries into the next.  ``div``
 reads measure files that are not strict JSON (``NaN``, ``Infinity``, ``1e400``,
 a 400-digit integer, a trailing comma, an empty file) or not a measure (a
 ``mean`` object, a ``dim`` of null or a list, a top-level list, no ``cov``).  ``bayes``
@@ -90,11 +96,19 @@ MEASURES = {
                                   ("warn40", (12.0, 1.2e-2, 1e-11), 44))},
 }
 PAIRS = [(f"p{d}", f"e{d}") for d in (3, 8, 20, 40)] + [(f"e{d}", f"p{d}") for d in (3, 8, 20, 40)]
-PAIRS += [("thin", "unit"), ("unit", "flat"), ("stiff", "soft"), ("soft", "stiff"), ("far", "near")]
+PAIRS += [("thin", "unit"), ("unit", "flat"), ("stiff", "soft"), ("soft", "stiff"), ("far", "near"),
+          ("top", "bottom")]
 PAIRS += [pair for name in ("deg40", "ill40", "clip40", "warn40") for other in ("p40", "e40")
           for pair in ((name, other), (other, name))]
 RN_PAIRS = [("p3", "e3"), ("p8", "e8"), ("p40", "e40"), ("thin", "unit"), ("unit", "flat"),
-            ("far", "near")]
+            ("far", "near"), ("top", "bottom")]
+
+# name -> a measure written as a file, for a pair that ``gen`` cannot make: means at
+# +-1e308, so that their difference overflows a double
+WRITTEN_MEASURES = {
+    "top": {"dim": 2, "mean": [1e308, -1e308], "cov": [[2.0, 0.5], [0.5, 1.0]]},
+    "bottom": {"dim": 2, "mean": [-1e308, 1e308], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+}
 
 # name -> text of a measure file that is not valid JSON or not a measure; each is
 # read by ``div --kind kl --nu <name> --mu unit``
@@ -133,6 +147,9 @@ def _calls(tmp: str):
     for name, args in MEASURES.items():
         path = os.path.join(tmp, f"{name}.json")
         yield ["gen", *args, "--out", path], path
+    for name, measure in WRITTEN_MEASURES.items():
+        with open(os.path.join(tmp, f"{name}.json"), "w") as handle:
+            json.dump(measure, handle)
     out = os.path.join(tmp, "out.csv")
     for nu, mu in PAIRS:
         pair = _pair(tmp, nu, mu)
@@ -163,6 +180,17 @@ def _calls(tmp: str):
         with open(path, "w") as handle:
             json.dump(model, handle)
         yield ["bayes", "--model", path], None
+    # Each help or usage error is followed by a valid call; the last omits --gamma and
+    # --r, which the call before it set.
+    p3, p8 = _pair(tmp, "p3", "e3"), _pair(tmp, "p8", "e8")
+    yield ["--help"], None
+    yield ["div", "--kind", "kl", *p3], None
+    yield ["div", "--help"], None
+    yield ["div", "--kind", "nope", *p3], None
+    yield ["div", "--kind", "renyi", "--r", "0.3", "--gamma", "1e-3", *p3], None
+    yield ["div", "--kind", "kl", "--gamma", "1e-3", "--exact", *p3], None
+    yield ["div", "--kind", "renyi", "--r", "0.3", "--gamma", "1e-3", *p8], None
+    yield ["div", "--kind", "kl", *p8], None
 
 
 def _pair(tmp: str, nu: str, mu: str) -> list[str]:
@@ -173,6 +201,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="the src directory of a checkout")
     src = os.path.abspath(parser.parse_args(argv).src)
+    os.environ["COLUMNS"] = "80"  # argparse formats help and usage to the terminal width
     sys.path.insert(0, src)
     import gaussdiv.cli
 
@@ -189,6 +218,8 @@ def main(argv=None) -> int:
                 warnings.simplefilter("always")
                 try:
                     code = gaussdiv.cli.main(args)
+                except SystemExit as exc:
+                    code = f"SystemExit({exc.code})"
                 except Exception as exc:  # recorded, and the battery fails at its end
                     code = f"uncaught {type(exc).__name__}: {exc}"
                     uncaught += 1

@@ -210,8 +210,8 @@ def _shifted_cholesky(matrix: np.ndarray, shift: float) -> tuple[np.ndarray, flo
 
 def _solve_lower(factor: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """``scipy.linalg.solve_triangular(factor, b, lower=True, trans=trans)``, bit for bit,
-    by one LAPACK ``dtrtrs`` call without the wrapper's checks, which cost about three times
-    the solve at dimension 20.  Only the lower triangle of ``factor`` is read.  The layout
+    by one LAPACK ``dtrtrs`` call without the wrapper's checks, which cost several times the
+    solve at dimension 20.  Only the lower triangle of ``factor`` is read.  The layout
     rule is the wrapper's: a factor that is not Fortran-ordered is passed transposed, as the
     upper factor of the transposed system.  A zero on the diagonal raises ``LinAlgError``."""
     if factor.flags.f_contiguous:

@@ -27,9 +27,10 @@ stay finite), an ill-conditioned pair whose regularized values warn
 ``IllConditioned`` and a dim-4 pair whose means lie about 1e160 apart, so
 every divergence but the Hellinger distance overflows a double
 (``far/near``), and a dim-2 pair with means at +-1e308, whose mean difference
-itself overflows (``top/bottom``, written as files, not by ``gen``).  From dimension 32 on a verdict comes from a Cholesky factor
-and its condition estimate, so four dim-40 measures run against ``p40`` and
-``e40`` in both directions.  The estimate settles the ``Degenerate`` base of
+itself overflows (``top/bottom``, written as files, not by ``gen``).  From
+dimension 32 on a verdict comes from a Cholesky factor and its condition
+estimate, so four dim-40 measures run against ``p40`` and ``e40`` in both
+directions.  The estimate settles the ``Degenerate`` base of
 two: ``deg40`` (eigenvalues from 1 to 1e-3, then 1e-14) and ``ill40``
 (spread from 1 to 1e-14, condition 1e14).  It leaves two to ``eigvalsh``:
 ``clip40`` (smallest eigenvalue 2e-12, near the clip) and ``warn40``

@@ -98,7 +98,7 @@ def _update(model: LinearGaussianModel):
     innovation = model.observation - a @ model.prior.mean
     mean = model.prior.mean + ac0.T @ scipy.linalg.cho_solve((factor, True), innovation)
     cov = model.prior.cov.entries - ac0.T @ scipy.linalg.cho_solve((factor, True), ac0)
-    model._solved = GaussianMeasure(mean, TraceClassBlock(0.5 * (cov + cov.T))), logdet_k
+    model._solved = GaussianMeasure(mean, TraceClassBlock._symmetric(0.5 * (cov + cov.T))), logdet_k
     return model._solved
 
 

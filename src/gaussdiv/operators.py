@@ -92,6 +92,18 @@ class TraceClassBlock:
         m.flags.writeable = False
         self.entries = m
 
+    @classmethod
+    def _symmetric(cls, m: np.ndarray) -> "TraceClassBlock":
+        """The block of ``m``, which its maker built exactly symmetric, taken as it is: the
+        symmetry check and the symmetrization of construction would leave it unchanged.
+        Nonfinite entries still raise :class:`NonFinite`."""
+        if not np.all(np.isfinite(m)):
+            raise NonFinite("TraceClassBlock entries contains NaN or Inf")
+        m.flags.writeable = False
+        block = cls.__new__(cls)
+        block.entries = m
+        return block
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]

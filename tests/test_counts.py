@@ -36,7 +36,7 @@ from gaussdiv.cli import main
 COUNTED = (
     (np.linalg, ("eigh", "eigvalsh", "solve")),
     (scipy.linalg, ("cho_factor", "cho_solve")),
-    (scipy.linalg.lapack, ("dpocon", "dtrtrs")),
+    (scipy.linalg.lapack, ("dpocon", "dsygst", "dtrtrs")),
 )
 
 DIM = 60
@@ -44,7 +44,7 @@ DIM = 60
 CASES = {
     "div kl": (
         ["div", "--kind", "kl", "--nu", "{nu}", "--mu", "{mu}"],
-        {"cho_factor": 3, "dpocon": 2, "eigvalsh": 1, "dtrtrs": 3},
+        {"cho_factor": 3, "dpocon": 2, "eigvalsh": 1, "dsygst": 1, "dtrtrs": 1},
     ),
     "div renyi regularized": (
         ["div", "--kind", "renyi", "--r", "0.3", "--gamma", "1e-4", "--nu", "{nu}", "--mu", "{mu}"],
@@ -53,24 +53,24 @@ CASES = {
     "sweep-gamma kl": (
         ["sweep-gamma", "--kind", "kl", "--from", "1e-1", "--to", "1e-8", "--points", "8",
          "--nu", "{nu}", "--mu", "{mu}", "--out", "{out}"],
-        {"cho_factor": 3, "dpocon": 2, "eigh": 1, "eigvalsh": 3, "dtrtrs": 3},
+        {"cho_factor": 3, "dpocon": 2, "eigh": 1, "eigvalsh": 2, "dsygst": 1, "dtrtrs": 1},
     ),
     "sweep-r regularized": (
         ["sweep-r", "--gamma", "1e-6", "--from", "0.1", "--to", "0.9", "--points", "5",
          "--nu", "{nu}", "--mu", "{mu}", "--out", "{out}"],
-        {"cho_factor": 10, "dpocon": 7, "eigh": 1, "eigvalsh": 1, "dtrtrs": 8},
+        {"cho_factor": 10, "dpocon": 7, "eigh": 1, "dsygst": 1, "dtrtrs": 6},
     ),
     "bayes": (
         ["bayes", "--model", "{model}"],
-        {"cho_factor": 5, "cho_solve": 4, "dpocon": 2, "eigvalsh": 2, "dtrtrs": 3},
+        {"cho_factor": 5, "cho_solve": 4, "dpocon": 2, "eigvalsh": 2, "dsygst": 1, "dtrtrs": 1},
     ),
     "rn-check": (
         ["rn-check", "--n", "2000", "--seed", "7", "--nu", "{nu}", "--mu", "{mu}"],
-        {"cho_factor": 3, "dpocon": 2, "eigh": 6, "eigvalsh": 4, "dtrtrs": 4},
+        {"cho_factor": 3, "dpocon": 2, "eigh": 6, "eigvalsh": 4, "dsygst": 1, "dtrtrs": 2},
     ),
     "rn-check built-in pair": (
         ["rn-check", "--n", "2000", "--seed", "7"],
-        {"cho_factor": 1, "eigh": 6, "eigvalsh": 6, "dtrtrs": 4},
+        {"cho_factor": 1, "eigh": 6, "eigvalsh": 6, "dsygst": 1, "dtrtrs": 2},
     ),
 }
 

@@ -521,14 +521,18 @@ class TestOverflow:
             with pytest.raises(gd.NonFinite, match="does not fit in a double"):
                 self.CALLS[name](nu, mu)
 
-    @pytest.mark.parametrize("call", [
-        lambda nu, mu: gd.exact_hellinger(nu, mu),
-        lambda nu, mu: gd.regularized_hellinger(nu, mu, 1e-3),
-        lambda nu, mu: gd.sweep_gamma(nu, mu, "hellinger", [1e-1, 1e-3])[-1].regularized,
-    ], ids=["exact", "regularized", "gamma sweep"])
-    def test_hellinger_is_sqrt_2(self, call):
+    @pytest.mark.parametrize("pair, call", [
+        (far_pair, lambda nu, mu: gd.exact_hellinger(nu, mu)),
+        (far_pair, lambda nu, mu: gd.regularized_hellinger(nu, mu, 1e-3)),
+        (far_pair, lambda nu, mu: gd.sweep_gamma(nu, mu, "hellinger", [1e-1, 1e-3])[-1].regularized),
+        (overflowing_mean_pair, lambda nu, mu: gd.exact_divergence(nu, mu, "hellinger")),
+        (overflowing_mean_pair, lambda nu, mu: gd.regularized_divergence(nu, mu, "hellinger", 1e-3)),
+    ], ids=["exact", "regularized", "gamma sweep", "exact, overflowing means",
+            "regularized, overflowing means"])
+    def test_hellinger_is_sqrt_2(self, pair, call):
         # The Hellinger distance is bounded: an overflowing Renyi value is exp(-inf) = 0 away.
-        nu, mu = far_pair()
+        # Where the mean difference itself overflows, so does D_B >= |dm|^2 / (8 lambda_max).
+        nu, mu = pair()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert call(nu, mu) == math.sqrt(2.0)
@@ -556,11 +560,11 @@ class TestOverflow:
                 gd.log_radon_nikodym(mu.mean + 1e200, nu, mu)
 
     @pytest.mark.parametrize("gamma", [None, 1e-3], ids=["exact", "regularized"])
-    @pytest.mark.parametrize("kind, r", [("kl", None), ("bhatt", None), ("hellinger", None),
-                                         ("renyi", 1e-13), ("renyi", 0.3)])
+    @pytest.mark.parametrize("kind, r", [("kl", None), ("bhatt", None), ("renyi", 1e-13),
+                                         ("renyi", 0.3)])
     def test_an_overflowing_mean_difference_raises(self, kind, r, gamma):
         # Every route reads the pair's one mean difference: the whitened delta, the
-        # blend's solve and the KL terms.  The Hellinger distance is no exception.
+        # blend's solve and the KL terms.  Only the Hellinger distance, bounded, is a value.
         nu, mu = overflowing_mean_pair()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -569,6 +573,13 @@ class TestOverflow:
                     gd.exact_divergence(nu, mu, kind, r)
                 else:
                     gd.regularized_divergence(nu, mu, kind, gamma, r)
+
+    @pytest.mark.parametrize("kind", ["kl", "hellinger"])
+    def test_a_singular_pair_with_overflowing_means_is_singular(self, kind):
+        nu, mu = overflowing_mean_pair()
+        thin = gd.GaussianMeasure(nu.mean, np.diag([1.0, 1e-16]))
+        with pytest.raises(gd.SingularPair):
+            gd.exact_divergence(thin, mu, kind)
 
     def test_an_overflowing_mean_difference_raises_in_the_log_density_ratio(self):
         nu, mu = overflowing_mean_pair()

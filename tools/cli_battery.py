@@ -20,14 +20,16 @@ rejected); ``div`` for every kind (Renyi at orders 1e-13, 0.3, 0.9 and
 1 - 1e-13), exact and at gamma 1e-2, 1e-6, 1e-10, 1e-14, the subnormals
 1e-320 and 5e-324, 0 and nan; ``sweep-gamma`` for every kind; ``sweep-r``
 exact and at gamma 1e-3, 1e-8, 1e-14 and 1e-320.  They run over random pairs
-of dims 3 to 40 in both directions, plus a mutually singular pair, a pair with
-a degenerate base (``flat``: an eigenvalue of 1e-13, below the clip
-threshold, so its exact values report ``Degenerate`` and its regularized ones
-stay finite), an ill-conditioned pair whose regularized values warn
-``IllConditioned`` and a dim-4 pair whose means lie about 1e160 apart, so
-every divergence but the Hellinger distance overflows a double
-(``far/near``), and a dim-2 pair with means at +-1e308, whose mean difference
-itself overflows (``top/bottom``, written as files, not by ``gen``).  From
+of dims 3 to 40 in both directions and over ``p72/e72``, wider than the
+64-column blocks in which LAPACK's ``dsygst`` whitens.  Then come a mutually
+singular pair, a pair with a degenerate base (``flat``: an eigenvalue of
+1e-13, below the clip threshold, so its exact values report ``Degenerate``
+and its regularized ones stay finite), an ill-conditioned pair whose
+regularized values warn ``IllConditioned`` and a dim-4 pair whose means lie
+about 1e160 apart, so every divergence but the Hellinger distance overflows a
+double (``far/near``), and a dim-2 pair with means at +-1e308, whose mean
+difference itself overflows (``top/bottom``, written as files, not by
+``gen``); its Hellinger distance is ``sqrt(2)`` too.  From
 dimension 32 on a verdict comes from a Cholesky factor and its condition
 estimate, so four dim-40 measures run against ``p40`` and ``e40`` in both
 directions.  The estimate settles the ``Degenerate`` base of
@@ -35,8 +37,8 @@ two: ``deg40`` (eigenvalues from 1 to 1e-3, then 1e-14) and ``ill40``
 (spread from 1 to 1e-14, condition 1e14).  It leaves two to ``eigvalsh``:
 ``clip40`` (smallest eigenvalue 2e-12, near the clip) and ``warn40``
 (condition 1.2e12, near the warning).  ``rn-check --n 2000`` runs on the
-built-in pair at seeds 7 and 42, on the pairs ``p3/e3``, ``p8/e8`` and
-``p40/e40`` (the last fails its normalization check, exit 1), on the
+built-in pair at seeds 7 and 42, on the pairs ``p3/e3``, ``p8/e8``,
+``p40/e40`` and ``p72/e72`` (the last two fail their normalization check, exit 1), on the
 singular, the degenerate, the far and the ``top/bottom`` pair, and with
 ``--nu`` alone.  The parser: ``--help``, ``div --help`` and two usage errors
 (an unknown ``--kind``; ``--gamma`` with ``--exact``), each followed by a valid
@@ -79,6 +81,11 @@ MEASURES = {
                    "--s", "1.5", "--mean-scale", "0.3"] for dim in (3, 8, 20, 40)},
     **{f"e{dim}": ["--family", "exp", "--dim", str(dim), "--seed", str(100 + dim),
                    "--rate", "0.4", "--mean-scale", "0.2"] for dim in (3, 8, 20, 40)},
+    "p72": ["--family", "powerlaw", "--dim", "72", "--seed", "72", "--s", "1.5",
+            "--mean-scale", "0.3"],
+    # a slower decay than e40's, whose 72nd eigenvalue would fall below the clip threshold
+    "e72": ["--family", "exp", "--dim", "72", "--seed", "172", "--rate", "0.3",
+            "--mean-scale", "0.2"],
     "thin": ["--family", "explicit", "--values", "1,1,1e-16", "--seed", "5"],
     "unit": ["--family", "explicit", "--values", "1,1,1", "--seed", "6"],
     "flat": ["--family", "explicit", "--values", "1,1e-13,2", "--seed", "7"],
@@ -98,11 +105,11 @@ MEASURES = {
 }
 PAIRS = [(f"p{d}", f"e{d}") for d in (3, 8, 20, 40)] + [(f"e{d}", f"p{d}") for d in (3, 8, 20, 40)]
 PAIRS += [("thin", "unit"), ("unit", "flat"), ("stiff", "soft"), ("soft", "stiff"), ("far", "near"),
-          ("top", "bottom")]
+          ("top", "bottom"), ("p72", "e72")]
 PAIRS += [pair for name in ("deg40", "ill40", "clip40", "warn40") for other in ("p40", "e40")
           for pair in ((name, other), (other, name))]
-RN_PAIRS = [("p3", "e3"), ("p8", "e8"), ("p40", "e40"), ("thin", "unit"), ("unit", "flat"),
-            ("far", "near"), ("top", "bottom")]
+RN_PAIRS = [("p3", "e3"), ("p8", "e8"), ("p40", "e40"), ("p72", "e72"), ("thin", "unit"),
+            ("unit", "flat"), ("far", "near"), ("top", "bottom")]
 
 # name -> a measure written as a file, for a pair that ``gen`` cannot make: means at
 # +-1e308, so that their difference overflows a double

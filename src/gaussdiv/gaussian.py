@@ -288,7 +288,7 @@ class GaussianPair:
 
     @cached_property
     def singular(self) -> bool:
-        """Whether the top eigenvalue of ``S`` lies within ``SINGULAR_MARGIN`` of 1, by ``s_eigenvalues``."""
+        """Whether the top of ``s_eigenvalues`` lies within ``SINGULAR_MARGIN`` of 1."""
         return self._singular_at(1.0)
 
     def _singular_at(self, r: float) -> bool:

@@ -337,7 +337,10 @@ def sweep_gamma(
 
     The exact column is constant; for equivalent pairs the abs_err column
     shrinks toward zero as gamma does.  One :class:`GaussianPair` serves the
-    whole grid, so the grid adds O(dim) work per point, not a factorization.
+    whole grid.  At an order routed to a KL limit (``kl``, and Renyi orders
+    next to 0 or 1) a grid point adds O(dim) work, not a factorization; every
+    other order pays three Cholesky factors per point, of ``C_nu + gamma I``,
+    ``C_mu + gamma I`` and the shifted blend.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.min(grid) <= 0.0:

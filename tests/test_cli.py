@@ -10,7 +10,7 @@ import pytest
 
 import gaussdiv as gd
 from gaussdiv.cli import _load_json, build_parser, main
-from oracles import far_pair, rounded_zero_pair
+from oracles import far_pair, overflowing_mean_pair, rounded_zero_pair
 
 
 @pytest.fixture
@@ -450,6 +450,17 @@ class TestOverflow:
 
     def test_rn_check_exits_2_before_sampling(self, far_files, capsys):
         assert self._run(["rn-check", "--n", "100", "--seed", "1", *far_files], capsys) == 2
+
+    @pytest.mark.parametrize("gamma", [[], ["--gamma", "1e-3"]], ids=["exact", "regularized"])
+    def test_an_overflowing_mean_difference(self, tmp_path, capsys, gamma):
+        # Means at +-1e308: the Hellinger distance is sqrt(2), every other kind exits 2.
+        paths = [_write(tmp_path, f"{name}.json", json.dumps(measure.to_dict()))
+                 for name, measure in zip(("nu", "mu"), overflowing_mean_pair())]
+        files = ["--nu", paths[0], "--mu", paths[1]]
+        assert main(["div", "--kind", "hellinger", *gamma, *files]) == 0
+        assert capsys.readouterr() == (f"{math.sqrt(2.0):.17g}\n", "")
+        assert main(["div", "--kind", "bhatt", *gamma, *files]) == 2
+        assert capsys.readouterr().err.startswith("error: the mean difference m_nu - m_mu")
 
 
 class TestKeptParser:

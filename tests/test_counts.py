@@ -2,24 +2,29 @@
 
 Counts are deterministic where wall-clock time is not, so they pin the work
 each subcommand does: a change that adds or drops an eigendecomposition, a
-dense solve, a Cholesky factorization, a condition estimate or a triangular
-solve (LAPACK's ``dtrtrs``, which the whitening calls directly) shows up
-here.  From dimension 32 on, building a measure takes a Cholesky factor of its
-covariance and one condition estimate, and the measure keeps the verdicts;
-whitening against it, or a model over it as prior, reads them, so the base
-factor is one more Cholesky factor and no estimate.  A measure's eigenvalues
-are computed only where a divergence or an open verdict reads them.  Below
-dimension 32 (the noise of the ``bayes`` model, the measures of the sampler
-gate, the built-in ``rn-check`` pair) ``eigvalsh`` decides at once.  The exact
-divergences whiten by a Cholesky factor of the base and take the eigenvalues
-of the whitened perturbation; only the orders inside (0, 1) and the log
-density ratio need its eigenvectors.  The regularized KL reads the base's
-eigendecomposition, which one pair object keeps for a whole sweep; the other
-regularized orders take Cholesky factors at each gamma.  No row makes a dense
-solve.  In the operator calculus each block is factored once: ``alpha_logdet``
-takes one Cholesky factor of each operator and, at interior orders, of their
-combination; at the endpoints its trace is a solve with the second operator's
-factor.  The inverse and the Carleman determinant read eigenvalues.
+dense solve, a Cholesky factorization, a condition estimate, a whitening
+(LAPACK's ``dsygst``) or a triangular solve (LAPACK's ``dtrtrs``) shows up
+here; the package calls both LAPACK routines directly.  From dimension 32 on,
+building a measure takes a Cholesky factor of its covariance and one condition
+estimate, and the measure keeps the verdicts; whitening against it, or a model
+over it as prior, reads them, so the base factor is one more Cholesky factor
+and no estimate.  A measure's eigenvalues are computed only where a divergence
+or an open verdict reads them.  Below dimension 32 (the noise of the ``bayes``
+model, the measures of the sampler gate, the built-in ``rn-check`` pair)
+``eigvalsh`` decides at once.  The exact divergences whiten by a Cholesky
+factor of the base and one ``dsygst``; a triangular solve whitens the mean
+difference.  The KLs take the eigenvalues of the whitened perturbation; the
+orders inside (0, 1) take its eigendecomposition instead, and read their
+singularity test from it, so an exact order sweep takes no ``eigvalsh`` of it.
+The log density ratio needs both.  The regularized KL reads the base's
+eigendecomposition, whose Rayleigh quotients give the base's shifted
+log-determinants too, and the first measure's eigenvalues; one pair object
+keeps them for a whole sweep.  The other regularized orders take Cholesky
+factors at each gamma.  No row makes a dense solve.  In the operator calculus
+each block is factored once: ``alpha_logdet`` takes one Cholesky factor of
+each operator and, at interior orders, of their combination; at the endpoints
+its trace is a solve with the second operator's factor.  The inverse and the
+Carleman determinant read eigenvalues.
 """
 
 import json

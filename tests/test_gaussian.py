@@ -1,11 +1,13 @@
 """Gaussian divergences: whitening, exact and regularized families, log density ratio."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.stats
 from numpy.testing import assert_allclose
 
@@ -51,6 +53,21 @@ class TestEquivalenceData:
             recon = factor @ (np.eye(dim) - data.s_block.entries) @ factor.T
             err = np.linalg.norm(recon - nu.cov.entries)
             assert err <= 1e-8 * (1.0 + np.linalg.norm(nu.cov.entries))
+
+    @pytest.mark.parametrize("dim", [5, 31, 32, 63, 64, 65, 200])
+    def test_whitening_across_lapack_blocks(self, dim):
+        # dsygst works in blocks of 64 columns, and unblocked below that.
+        rng = np.random.default_rng(dim)
+        nu, mu = rand_measure(rng, dim), rand_measure(rng, dim)
+        data = gd.GaussianPair(nu, mu)
+        s_mat, factor = data.s_block.entries, data.base_factor
+        assert np.array_equal(s_mat, s_mat.T)
+        half = scipy.linalg.solve_triangular(factor, nu.cov.entries, lower=True)
+        w_two_solves = scipy.linalg.solve_triangular(factor, half.T, lower=True)
+        w = np.eye(dim) - s_mat
+        assert np.max(np.abs(w - w_two_solves)) <= 1e-13 * np.max(np.abs(w_two_solves))
+        err = np.linalg.norm(factor @ w @ factor.T - nu.cov.entries)
+        assert err <= 1e-8 * (1.0 + np.linalg.norm(nu.cov.entries))
 
     def test_matches_symmetric_whitening(self):
         # Any whitening of mu.cov gives S up to an orthogonal similarity and delta
@@ -491,6 +508,41 @@ class TestSingularAndDegenerate:
         with pytest.raises(gd.SingularPair):
             gd.log_radon_nikodym(np.zeros(2), nu, mu)
 
+    @pytest.mark.parametrize("gap, singular", [(1e-8, False), (1e-12, True)])
+    def test_the_singularity_test_follows_the_order(self, gap, singular):
+        # nu.cov = L (I - S) L^T with the top eigenvalue of S at 1 - gap.  The KLs
+        # read it from eigvalsh and the orders inside (0, 1) from eigh; on one pair
+        # every call has one outcome, whichever call filled the pair's caches.
+        rng = np.random.default_rng(40)
+        mu = rand_measure(rng, 40)
+        factor = np.linalg.cholesky(mu.cov.entries)
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        a = np.append(rng.uniform(-0.5, 0.5, 39), 1.0 - gap)
+        cov = factor @ ((q * (1.0 - a)) @ q.T) @ factor.T
+        nu = gd.GaussianMeasure(mu.mean + 0.1 * rng.standard_normal(40), 0.5 * (cov + cov.T))
+        grid = [0.1, 0.5, 0.9]
+
+        def outcome(call):
+            try:
+                return call()
+            except gd.SingularPair:
+                return "singular"
+
+        calls = {
+            "div kl": lambda data: gd.exact_divergence(nu, mu, "kl", data=data),
+            "renyi 0.5": lambda data: gd.exact_renyi(nu, mu, 0.5, data=data),
+            "sweep_r": lambda data: [rec.exact for rec in gd.sweep_r(nu, mu, 0.0, grid)],
+            "rn-check": lambda data: gd.mc_kl_check(nu, mu, 200, 7, data=data),
+        }
+        want = {name: outcome(lambda: call(None)) for name, call in calls.items()}
+        assert all((value == "singular") is singular for value in want.values())
+        for names in itertools.permutations(calls):
+            data = gd.GaussianPair(nu, mu)
+            assert {name: outcome(lambda: calls[name](data)) for name in names} == want
+        if not singular:
+            assert want["sweep_r"] == [gd.exact_renyi(nu, mu, r) for r in grid]
+            assert want["renyi 0.5"] == want["sweep_r"][1]
+
     def test_degenerate_base_raises(self):
         nu = gd.GaussianMeasure([0.0], [[1.0]])
         mu = gd.GaussianMeasure([0.0], [[0.0]])
@@ -525,8 +577,8 @@ class TestOverflow:
         (far_pair, lambda nu, mu: gd.exact_hellinger(nu, mu)),
         (far_pair, lambda nu, mu: gd.regularized_hellinger(nu, mu, 1e-3)),
         (far_pair, lambda nu, mu: gd.sweep_gamma(nu, mu, "hellinger", [1e-1, 1e-3])[-1].regularized),
-        (overflowing_mean_pair, lambda nu, mu: gd.exact_divergence(nu, mu, "hellinger")),
-        (overflowing_mean_pair, lambda nu, mu: gd.regularized_divergence(nu, mu, "hellinger", 1e-3)),
+        (overflowing_mean_pair, lambda nu, mu: gd.exact_hellinger(nu, mu)),
+        (overflowing_mean_pair, lambda nu, mu: gd.regularized_hellinger(nu, mu, 1e-3)),
     ], ids=["exact", "regularized", "gamma sweep", "exact, overflowing means",
             "regularized, overflowing means"])
     def test_hellinger_is_sqrt_2(self, pair, call):

@@ -34,6 +34,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gaussdiv as gd
 from oracles import exact_renyi_reference, rand_measure, rand_orthogonal
@@ -266,3 +267,61 @@ def test_alpha_logdet_as_accurate_as_the_frozen_route(family, orders, limit, ope
         for err, frozen, _ in operator_errors[(family, gamma, r)]
     ]
     assert np.median(ratios) <= limit
+
+
+def _explicit40(top, bottom, lowest):
+    """A dim-40 spectrum: 39 eigenvalues spaced evenly in log from ``top`` to ``bottom``, each
+    rounded to 6 digits as a command line would pass it, then ``lowest``."""
+    return [float(f"{top * (bottom / top) ** (k / 38):.6g}") for k in range(39)] + [lowest]
+
+
+# Dim-40 measures near the verdict thresholds: ``warn40`` has condition 1.2e12.
+DIM40 = {
+    "warn40": gd.gen_measure(gd.SpectrumFamily.explicit(_explicit40(12.0, 1.2e-2, 1e-11)), 44),
+    "e40": gd.gen_measure(gd.SpectrumFamily.exponential(40, 0.4), 140, mean_scale=0.2),
+    "p40": gd.gen_measure(gd.SpectrumFamily.power_law(40, 1.5), 40, mean_scale=0.3),
+}
+# Every equivalent ordered pair of them: (e40, warn40) is mutually singular.
+DIM40_PAIRS = (("warn40", "e40"), ("warn40", "p40"), ("p40", "warn40"), ("e40", "p40"),
+               ("p40", "e40"))
+DIM40_ORDERS = (0.05, 0.275, 0.5, 0.725, 0.95)
+
+
+def _two_solve_whitening(nu, mu):
+    """A pair whose ``S`` is whitened by the two triangular solves that ``dsygst`` replaced,
+    frozen here, and symmetrized; every divergence formula is the package's."""
+    pair = gd.GaussianPair(nu, mu)
+    factor = pair.base_factor
+    half = scipy.linalg.solve_triangular(factor, nu.cov.entries, lower=True)
+    s_mat = np.eye(nu.dim) - scipy.linalg.solve_triangular(factor, half.T, lower=True)
+    pair.s_block = gd.TraceClassBlock(0.5 * (s_mat + s_mat.T))
+    return pair
+
+
+@pytest.fixture(scope="module")
+def dim40_errors():
+    """(nu, mu) -> [(error, frozen two-solve error)] at each of ``DIM40_ORDERS``."""
+    errors = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", gd.IllConditioned)
+        for names in DIM40_PAIRS:
+            nu, mu = (DIM40[name] for name in names)
+            refs = exact_renyi_reference(nu, mu, DIM40_ORDERS)
+            frozen = _two_solve_whitening(nu, mu)
+            errors[names] = [(_rel_err(gd.exact_renyi(nu, mu, r), refs[r]),
+                              _rel_err(gd.exact_renyi(nu, mu, r, data=frozen), refs[r]))
+                             for r in DIM40_ORDERS]
+    return errors
+
+
+def test_exact_renyi_dim40_near_the_warning_within_5e3(dim40_errors):
+    # The base e40 is well conditioned, but warn40 (condition 1.2e12) leaves its
+    # top eigenvalue of S 1.9e-10 from 1; two triangular solves put it at 1.4e-9.
+    for r, (err, _) in zip(DIM40_ORDERS, dim40_errors[("warn40", "e40")]):
+        assert err <= 5e-3, (r, err)
+
+
+def test_exact_renyi_dim40_as_accurate_as_two_solves(dim40_errors):
+    ratios = [max(err, EPS) / max(frozen, EPS)
+              for errors in dim40_errors.values() for err, frozen in errors]
+    assert np.median(ratios) <= 2.0

@@ -197,6 +197,9 @@ class GaussianMeasure:
 class GaussianPair:
     """The ordered pair ``(nu, mu)`` with its factorizations, each computed once on first use.
 
+    Every divergence of the pair is a Renyi value of one of two routes, ``_exact(r)``
+    or the regularized ``_renyi(r, gamma)``, passed through its kind's transform by
+    ``regularized`` or the module's functions.
     Each quantity takes the cheapest factorization that gives it, chosen by the
     order alone, so a sweep record and a standalone call agree exactly.  The
     exact divergences and the log density ratio whiten by ``base_factor``, the
@@ -325,24 +328,43 @@ class GaussianPair:
         d = np.einsum("ij,ij->j", u, self.nu.cov.entries @ u)
         return lam, u.T @ self.mean_diff, d
 
-    def regularized_renyi(self, r: float, gamma: float) -> float:
-        """:func:`regularized_renyi` of the pair: the quadratic form plus half the
-        alpha log-det divergence, ``alpha = 2r - 1``, of the shifted covariances.
-
-        Orders that :mod:`~gaussdiv.logdet` routes to an endpoint limit take the
-        KL of that direction, read from ``_kl_terms``.  The interior formula takes
-        plain log-determinants: the ``log gamma`` tails of the extended ones cancel
-        between equal shifts.
-        """
-        return _finite_result(lambda: self._renyi(r, gamma))
-
     def regularized(self, kind: str, gamma: float, r: float | None = None) -> float:
         """:func:`regularized_divergence` of the pair."""
         order, transform = _kind_order(kind, r)
         return _finite_result(lambda: self._renyi(order, gamma), transform)
 
+    def _exact(self, r: float) -> float:
+        """:func:`exact_renyi` of the pair at a checked order, unchecked for overflow;
+        :class:`~gaussdiv.errors.SingularPair` where ``_singular_at(r)`` says so.  Order 0
+        is the mirror's KL, order 1 reads ``s_eigenvalues``, every other ``s_spectrum``."""
+        if self._singular_at(r):
+            raise SingularPair("measures are mutually singular")
+        if r == 0.0:
+            return self._mirror._exact(1.0)
+        if r == 1.0:
+            a = self.s_eigenvalues
+            cov_term = -0.5 * float(np.sum(np.log1p(-a) + a))
+            return 0.5 * float(self.delta @ self.delta) + cov_term
+        a = self.s_spectrum.eigenvalues
+        weights = 1.0 - (1.0 - r) * a
+        if weights.size and float(np.min(weights)) <= SINGULAR_MARGIN:
+            raise NotPositive("I - (1-r) S is not positive definite")
+        d_hat = self.s_spectrum.eigenvectors.T @ self.delta
+        mean_term = 0.5 * float(np.sum(d_hat * d_hat / weights))
+        if r < 0.5:
+            x = a / (1.0 - a)
+            y = r * x  # log1p(y) / y (1 at y = 0) keeps every digit of x where y is subnormal
+            phi = np.divide(np.log1p(y), y, out=np.ones_like(y), where=y != 0.0)
+            return mean_term + float(np.sum(np.log1p(-a) + x * phi)) / (2.0 * (1.0 - r))
+        cov_term = float(np.sum((r - 1.0) * np.log1p(-a) + np.log1p(-(1.0 - r) * a)))
+        return mean_term + cov_term / (2.0 * r * (1.0 - r))
+
     def _renyi(self, r: float, gamma: float) -> float:
-        """:meth:`regularized_renyi`, unchecked: a value may overflow to ``inf``."""
+        """:func:`regularized_renyi` of the pair, unchecked for overflow: the quadratic form
+        plus half the alpha log-det divergence, ``alpha = 2r - 1``, of the shifted covariances.
+        Orders that :mod:`~gaussdiv.logdet` routes to an endpoint limit take the KL of that
+        direction, read from ``_kl_terms``.  The interior formula takes plain log-determinants:
+        the ``log gamma`` tails of the extended ones cancel between equal shifts."""
         r = _check_order(r)
         alpha = 2.0 * r - 1.0
         path = _endpoint_path(alpha)
@@ -399,21 +421,13 @@ def equivalence_data(nu: GaussianMeasure, mu: GaussianMeasure) -> GaussianPair:
     return pair
 
 
-def _equivalent_data(
-    nu: GaussianMeasure, mu: GaussianMeasure, data: GaussianPair | None, r: float = 1.0
-) -> GaussianPair:
-    """``data`` for ``(nu, mu)``, built when absent, for an equivalent pair only.
-
-    Raises ``ValueError`` when ``data`` was built from another pair and
-    :class:`~gaussdiv.errors.SingularPair` when the pair is mutually singular, as
-    the exact divergence of order ``r`` decides it (``GaussianPair._singular_at``).
-    """
+def _pair_of(nu: GaussianMeasure, mu: GaussianMeasure, data: GaussianPair | None) -> GaussianPair:
+    """``data``, or the pair ``(nu, mu)`` built when it is absent; ``ValueError`` when
+    ``data`` was built from another pair of measures."""
     if data is None:
-        data = GaussianPair(nu, mu)
-    elif data.nu is not nu or data.mu is not mu:
+        return GaussianPair(nu, mu)
+    if data.nu is not nu or data.mu is not mu:
         raise ValueError("data was built for a different pair of measures")
-    if data._singular_at(r):
-        raise SingularPair("measures are mutually singular")
     return data
 
 
@@ -440,14 +454,7 @@ def exact_kl(
     The covariance part is the log Hilbert-Carleman determinant of ``I - S``,
     negated; it is nonpositive, vanishing only for ``S = 0``.
     """
-    return _finite_result(lambda: _exact_kl(nu, mu, data))
-
-
-def _exact_kl(nu: GaussianMeasure, mu: GaussianMeasure, data: GaussianPair | None) -> float:
-    data = _equivalent_data(nu, mu, data)
-    a = data.s_eigenvalues
-    cov_term = -0.5 * float(np.sum(np.log1p(-a) + a))
-    return 0.5 * float(data.delta @ data.delta) + cov_term
+    return exact_divergence(nu, mu, "kl", data=data)
 
 
 def exact_renyi(
@@ -464,34 +471,12 @@ def exact_renyi(
     ``exact_kl(mu, nu)``; every order in between is the closed form in the
     spectrum ``a`` of ``S``.  Below ``r = 1/2`` its covariance part is written
     as ``r log(1-a) + log1p(r x)``, ``x = a / (1-a)``, with ``r`` divided out
-    before summing, so no order cancels.  Every order first checks the pair
-    itself: ``data`` from another pair raises ``ValueError``.
+    before summing, so no order cancels.  After ``r``, every call checks the
+    pair itself: ``data`` from another pair raises ``ValueError``.
     """
-    return _finite_result(lambda: _exact_renyi(nu, mu, r, data))
-
-
-def _exact_renyi(
-    nu: GaussianMeasure, mu: GaussianMeasure, r: float, data: GaussianPair | None
-) -> float:
     r = _check_order(r)
-    if r == 1.0:
-        return _exact_kl(nu, mu, data)
-    data = _equivalent_data(nu, mu, data, r)
-    if r == 0.0:
-        return _exact_kl(mu, nu, data._mirror)
-    a = data.s_spectrum.eigenvalues
-    weights = 1.0 - (1.0 - r) * a
-    if weights.size and float(np.min(weights)) <= SINGULAR_MARGIN:
-        raise NotPositive("I - (1-r) S is not positive definite")
-    d_hat = data.s_spectrum.eigenvectors.T @ data.delta
-    mean_term = 0.5 * float(np.sum(d_hat * d_hat / weights))
-    if r < 0.5:
-        x = a / (1.0 - a)
-        y = r * x  # log1p(y) / y (1 at y = 0) keeps every digit of x where y is subnormal
-        phi = np.divide(np.log1p(y), y, out=np.ones_like(y), where=y != 0.0)
-        return mean_term + float(np.sum(np.log1p(-a) + x * phi)) / (2.0 * (1.0 - r))
-    cov_term = float(np.sum((r - 1.0) * np.log1p(-a) + np.log1p(-(1.0 - r) * a)))
-    return mean_term + cov_term / (2.0 * r * (1.0 - r))
+    pair = _pair_of(nu, mu, data)
+    return _finite_result(lambda: pair._exact(r))
 
 
 def exact_bhattacharyya(
@@ -532,7 +517,9 @@ def log_radon_nikodym_batch(
     :class:`~gaussdiv.errors.NonFinite`, with no numpy warning; the coefficients
     are checked before any row is computed.
     """
-    data = _equivalent_data(nu, mu, data)
+    data = _pair_of(nu, mu, data)
+    if data.singular:
+        raise SingularPair("measures are mutually singular")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2:
         raise ValueError(f"points must be a vector or a matrix, got shape {points.shape}")
@@ -593,7 +580,7 @@ def regularized_kl(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float) -> fl
     :class:`~gaussdiv.errors.IllConditioned` when ``C_mu + gamma I`` has a
     condition number beyond ``CONDITION_WARN``.
     """
-    return GaussianPair(nu, mu).regularized_renyi(1.0, gamma)
+    return regularized_divergence(nu, mu, "kl", gamma)
 
 
 def regularized_renyi(nu: GaussianMeasure, mu: GaussianMeasure, r: float, gamma: float) -> float:
@@ -603,7 +590,7 @@ def regularized_renyi(nu: GaussianMeasure, mu: GaussianMeasure, r: float, gamma:
     Warns :class:`~gaussdiv.errors.IllConditioned` when the shifted blend has a
     condition number beyond ``CONDITION_WARN``.
     """
-    return GaussianPair(nu, mu).regularized_renyi(r, gamma)
+    return _finite_result(lambda: GaussianPair(nu, mu)._renyi(r, gamma))
 
 
 def regularized_bhattacharyya(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float) -> float:
@@ -656,7 +643,8 @@ def exact_divergence(
 ) -> float:
     """Exact divergence dispatch by kind (``kl``, ``renyi``, ``bhatt``, ``hellinger``)."""
     order, transform = _kind_order(kind, r)
-    return _finite_result(lambda: _exact_renyi(nu, mu, order, data), transform)
+    pair = _pair_of(nu, mu, data)
+    return _finite_result(lambda: pair._exact(order), transform)
 
 
 def regularized_divergence(

@@ -21,6 +21,7 @@ one BLAS thread it equals, byte for byte, the matrix of one serial pass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,9 @@ class SpectrumFamily:
 
     ``powerlaw`` decays as k^(-s) with finite s > 1 (summable, mimicking
     trace-class decay), ``exponential`` as exp(-rate (k-1)) with finite
-    rate > 0, ``explicit`` uses the given strictly positive values, sorted
-    descending.  A decay that underflows to zero within ``dim`` is rejected.
+    rate > 0, ``explicit`` uses the given strictly positive, finite values, sorted
+    descending.  ``dim`` is a positive integer, not a bool or a float.  A decay
+    that underflows to zero within ``dim`` is rejected.
     """
 
     kind: str
@@ -100,7 +102,7 @@ class SpectrumFamily:
     def __post_init__(self) -> None:
         if self.kind not in ("powerlaw", "exponential", "explicit"):
             raise ValueError(f"unknown spectrum family {self.kind!r}")
-        if self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if self.kind == "powerlaw" and not 1.0 < self.s < math.inf:
             raise ValueError("power-law exponent must satisfy s > 1 and be finite")
@@ -113,6 +115,8 @@ class SpectrumFamily:
                 raise ValueError("explicit family: len(values) must equal dim")
             if min(self.values) <= 0.0:
                 raise ValueError("explicit eigenvalues must be strictly positive")
+            if not all(map(math.isfinite, self.values)):
+                raise ValueError("explicit family: values must be finite")
         elif not float(np.min(self.eigenvalues())) > 0.0:
             raise ValueError(f"{self.kind} eigenvalues underflow to zero at dim {self.dim}")
 
@@ -369,7 +373,7 @@ def sweep_r(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float, grid) -> lis
     records = []
     for r in grid:
         exact = exact_renyi(nu, mu, float(r), data=pair)
-        value = exact if gamma == 0.0 else pair.regularized_renyi(float(r), gamma)
+        value = exact if gamma == 0.0 else pair.regularized("renyi", gamma, float(r))
         records.append(_record(r, value, exact))
     return records
 

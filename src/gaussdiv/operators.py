@@ -248,6 +248,9 @@ def _spectrum_verdicts(matrix: np.ndarray, shift: float, floors=(PSD_CLIP,), fac
     eigenvalue lies in ``[||A||_1 / sqrt(n), ||A||_1]``.  Every bound is widened by
     ``n eps ||A||_1`` for the rounding of the factorization and of ``eigvalsh``.  Below
     ``_ESTIMATE_MIN_DIM`` nothing is told or factored: ``eigvalsh`` costs less there.
+    That margin times ``CONDITION_WARN`` outgrows ``||A||_1 / sqrt(n)``: from dimension 32 on
+    the estimate never calls a base ill-conditioned while clearing it of degeneracy, and from
+    about dimension 273 on never calls any matrix ill-conditioned.  So open verdicts settle lazily.
     """
     n, unknown = matrix.shape[0], (None,) * (len(floors) + 1)
     if n < _ESTIMATE_MIN_DIM:

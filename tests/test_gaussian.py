@@ -165,20 +165,23 @@ class TestExactKL:
         mu = gd.gen_measure(family, 3, mean_scale=0.3)
         assert gd.exact_kl(nu, mu) == pytest.approx(13.57, abs=0.01)
         for foreign in (gd.equivalence_data(mu, mu), gd.GaussianPair(mu, nu)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="different pair"):
                 gd.exact_kl(nu, mu, data=foreign)
-            for r in (0.0, 0.5):
-                with pytest.raises(ValueError):
+            for r in (1.5, math.nan):  # a bad order is reported first
+                with pytest.raises(ValueError, match="r must lie in"):
                     gd.exact_renyi(nu, mu, r, data=foreign)
-            with pytest.raises(ValueError):
+            for r in (0.0, 0.5):
+                with pytest.raises(ValueError, match="different pair"):
+                    gd.exact_renyi(nu, mu, r, data=foreign)
+            with pytest.raises(ValueError, match="different pair"):
                 gd.exact_divergence(nu, mu, "hellinger", data=foreign)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="different pair"):
                 gd.log_radon_nikodym_batch(np.zeros((3, 6)), nu, mu, data=foreign)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="different pair"):
                 gd.log_radon_nikodym(np.zeros(6), nu, mu, data=foreign)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="different pair"):
                 gd.mc_kl_check(nu, mu, 10, 1, data=foreign)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="different pair"):
                 gd.mc_rn_normalization(nu, mu, 10, 1, data=foreign)
 
 
@@ -507,6 +510,19 @@ class TestSingularAndDegenerate:
             gd.exact_hellinger(nu, mu)
         with pytest.raises(gd.SingularPair):
             gd.log_radon_nikodym(np.zeros(2), nu, mu)
+        # before the width of the points is read
+        with pytest.raises(gd.SingularPair):
+            gd.log_radon_nikodym_batch(np.zeros((3, 5)), nu, mu)
+        # data from another pair is reported first
+        foreign = gd.GaussianPair(mu, mu)
+        for r in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match="different pair"):
+                gd.exact_renyi(nu, mu, r, data=foreign)
+        for kind in ("kl", "hellinger"):
+            with pytest.raises(ValueError, match="different pair"):
+                gd.exact_divergence(nu, mu, kind, data=foreign)
+        with pytest.raises(ValueError, match="different pair"):
+            gd.log_radon_nikodym_batch(np.zeros((1, 2)), nu, mu, data=foreign)
 
     @pytest.mark.parametrize("gap, singular", [(1e-8, False), (1e-12, True)])
     def test_the_singularity_test_follows_the_order(self, gap, singular):
@@ -548,6 +564,9 @@ class TestSingularAndDegenerate:
         mu = gd.GaussianMeasure([0.0], [[0.0]])
         with pytest.raises(gd.Degenerate):
             gd.exact_kl(nu, mu)
+        # Order 0 is the KL of (mu, nu), which is singular, but the base is judged first.
+        with pytest.raises(gd.Degenerate):
+            gd.exact_renyi(nu, mu, 0.0)
 
 
 class TestOverflow:

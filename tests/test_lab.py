@@ -59,6 +59,16 @@ class TestSpectrumFamilies:
             gd.SpectrumFamily("powerlaw", 0)
         with pytest.raises(ValueError):
             gd.SpectrumFamily("cauchy", 3)
+        # A dim that is not an integer used to give a family of ceil(dim) eigenvalues
+        # (and a bool a dim-1 family); nonfinite values used to fail in gen_measure.
+        for dim in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="dim"):
+                gd.SpectrumFamily.power_law(dim)
+            with pytest.raises(ValueError, match="dim"):
+                gd.SpectrumFamily.exponential(dim)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="values"):
+                gd.SpectrumFamily.explicit([1.0, value])
 
     @pytest.mark.parametrize("s", [math.inf, math.nan])
     def test_power_law_exponent_must_be_finite(self, s):
@@ -407,12 +417,19 @@ class TestCsvOutput:
 class TestDivergenceDispatch:
     def test_exact_and_regularized_kinds(self):
         nu, mu = gd.default_rn_pair(11)
-        assert gd.exact_divergence(nu, mu, "kl") == gd.exact_kl(nu, mu)
+        kl = gd.exact_kl(nu, mu)
+        for data in (None, gd.GaussianPair(nu, mu)):
+            assert kl == gd.exact_kl(nu, mu, data=data) == gd.exact_renyi(nu, mu, 1.0, data=data)
+            assert kl == gd.exact_divergence(nu, mu, "kl", data=data)
         assert gd.exact_divergence(nu, mu, "renyi", 0.3) == gd.exact_renyi(nu, mu, 0.3)
         assert gd.exact_divergence(nu, mu, "bhatt") == gd.exact_bhattacharyya(nu, mu)
         assert gd.exact_divergence(nu, mu, "hellinger") == gd.exact_hellinger(nu, mu)
         g = 1e-3
         assert gd.regularized_divergence(nu, mu, "kl", g) == gd.regularized_kl(nu, mu, g)
+        assert gd.regularized_renyi(nu, mu, 1.0, g) == gd.regularized_kl(nu, mu, g)
+        for r in (1e-13, 0.3, 0.9):
+            pair = gd.GaussianPair(nu, mu)
+            assert gd.regularized_renyi(nu, mu, r, g) == pair.regularized("renyi", g, r)
         assert gd.regularized_divergence(nu, mu, "renyi", g, 0.3) == gd.regularized_renyi(
             nu, mu, 0.3, g
         )
@@ -425,14 +442,22 @@ class TestDivergenceDispatch:
 
     def test_kind_validation(self):
         nu, mu = gd.default_rn_pair(11)
-        with pytest.raises(ValueError):
-            gd.exact_divergence(nu, mu, "tv")
-        with pytest.raises(ValueError):
-            gd.exact_divergence(nu, mu, "renyi")
-        with pytest.raises(ValueError):
-            gd.exact_divergence(nu, mu, "renyi", 1.0)
-        with pytest.raises(ValueError):
-            gd.exact_divergence(nu, mu, "kl", 0.5)
+        # A bad kind or order is reported before data from another pair.
+        for data in (None, gd.GaussianPair(mu, nu)):
+            with pytest.raises(ValueError, match="unknown divergence kind"):
+                gd.exact_divergence(nu, mu, "tv", data=data)
+            with pytest.raises(ValueError, match="needs an order"):
+                gd.exact_divergence(nu, mu, "renyi", data=data)
+            with pytest.raises(ValueError, match="needs an order"):
+                gd.exact_divergence(nu, mu, "renyi", 1.0, data=data)
+            with pytest.raises(ValueError, match="only applies to renyi"):
+                gd.exact_divergence(nu, mu, "kl", 0.5, data=data)
+        # The exact dispatch checks the kind first, the regularized one the dims.
+        other_dim = gd.GaussianMeasure(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="unknown divergence kind"):
+            gd.exact_divergence(nu, other_dim, "nope")
+        with pytest.raises(gd.DimMismatch):
+            gd.regularized_divergence(nu, other_dim, "nope", 1e-3)
 
 
 class TestDefaultPair:

@@ -30,7 +30,7 @@ from scipy.special import ndtri
 
 import gaussdiv as gd
 from gaussdiv import lab, operators
-from gaussdiv.gaussian import _equivalent_data
+from gaussdiv.gaussian import _pair_of
 from gaussdiv.lab import STREAM_SAMPLE
 from gaussdiv.operators import _for_row_blocks
 
@@ -56,7 +56,7 @@ def frozen_sample_gaussian(measure, n, seed):
 
 
 def frozen_log_radon_nikodym_batch(points, nu, mu):
-    data = _equivalent_data(nu, mu, None)
+    data = _pair_of(nu, mu, None)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     a = data.s_spectrum.eigenvalues
     one_minus = 1.0 - a

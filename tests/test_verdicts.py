@@ -186,7 +186,7 @@ def test_interior_blend_warns_as_before(condition, r):
             spectrum[0] = (spectrum[-1] + gamma) / condition - gamma
             cov = _covariance(spectrum, dim * 100 + k + 20)
             measure = gd.GaussianMeasure(np.zeros(dim), cov)
-            got = _outcome(lambda: gd.GaussianPair(measure, measure).regularized_renyi(r, gamma))
+            got = _outcome(lambda: gd.GaussianPair(measure, measure).regularized("renyi", gamma, r))
             want = (None, frozen_blend(cov, cov, r, gamma))
             if got != want:
                 bad.append((dim, k, got, want))

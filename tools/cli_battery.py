@@ -15,8 +15,10 @@ code, the remaining calls still run, and the battery exits 1.  Two commits
 agree on the whole CLI contract when the outputs of their batteries are
 byte-identical (``cmp``).
 
-The calls: ``gen`` for every measure (``zero``, with a zero eigenvalue, is
-rejected); ``div`` for every kind (Renyi at orders 1e-13, 0.3, 0.9 and
+The calls: ``gen`` for every measure; it rejects ``zero`` (a zero
+eigenvalue), ``nan_value`` and ``inf_value`` (a value of ``nan`` or ``inf``),
+``dim0``, ``s1`` (``--s 1``), ``rate0`` and ``dim_contradicts`` (``--values
+1,2 --dim 3``).  Then ``div`` for every kind (Renyi at orders 1e-13, 0.3, 0.9 and
 1 - 1e-13), exact and at gamma 1e-2, 1e-6, 1e-10, 1e-14, the subnormals
 1e-320 and 5e-324, 0 and nan; ``sweep-gamma`` for every kind; ``sweep-r``
 exact and at gamma 1e-3, 1e-8, 1e-14 and 1e-320.  They run over random pairs
@@ -27,9 +29,10 @@ singular pair, a pair with a degenerate base (``flat``: an eigenvalue of
 and its regularized ones stay finite), an ill-conditioned pair whose
 regularized values warn ``IllConditioned`` and a dim-4 pair whose means lie
 about 1e160 apart, so every divergence but the Hellinger distance overflows a
-double (``far/near``), and a dim-2 pair with means at +-1e308, whose mean
+double (``far/near``), a dim-2 pair with means at +-1e308, whose mean
 difference itself overflows (``top/bottom``, written as files, not by
-``gen``); its Hellinger distance is ``sqrt(2)`` too.  From
+``gen``; its Hellinger distance is ``sqrt(2)`` too), and a pair of dims 3 and
+8 (``p3/e8``), on which every call exits 2.  From
 dimension 32 on a verdict comes from a Cholesky factor and its condition
 estimate, so four dim-40 measures run against ``p40`` and ``e40`` in both
 directions.  The estimate settles the ``Degenerate`` base of
@@ -42,7 +45,9 @@ built-in pair at seeds 7 and 42, on the pairs ``p3/e3``, ``p8/e8``,
 singular, the degenerate, the far and the ``top/bottom`` pair, and with
 ``--nu`` alone.  The parser: ``--help``, ``div --help`` and two usage errors
 (an unknown ``--kind``; ``--gamma`` with ``--exact``), each followed by a valid
-``div`` call, so that nothing of one parse carries into the next.  ``div``
+``div`` call, so that nothing of one parse carries into the next; the last two
+calls give ``p3/e8`` an order with ``--kind kl``: exact, ``div`` reports the
+order, at gamma 1e-3 the dims.  ``div``
 reads measure files that are not strict JSON (``NaN``, ``Infinity``, ``1e400``,
 a 400-digit integer, a trailing comma, an empty file) or not a measure (a
 ``mean`` object, a ``dim`` of null or a list, a top-level list, no ``cov``).  ``bayes``
@@ -90,6 +95,12 @@ MEASURES = {
     "unit": ["--family", "explicit", "--values", "1,1,1", "--seed", "6"],
     "flat": ["--family", "explicit", "--values", "1,1e-13,2", "--seed", "7"],
     "zero": ["--family", "explicit", "--values", "1,0,2", "--seed", "7"],
+    "nan_value": ["--family", "explicit", "--values", "1,nan", "--seed", "7"],
+    "inf_value": ["--family", "explicit", "--values", "1,inf", "--seed", "7"],
+    "dim0": ["--family", "powerlaw", "--dim", "0", "--seed", "7"],
+    "s1": ["--family", "powerlaw", "--dim", "3", "--seed", "7", "--s", "1"],
+    "rate0": ["--family", "exp", "--dim", "3", "--seed", "7", "--rate", "0"],
+    "dim_contradicts": ["--family", "explicit", "--values", "1,2", "--dim", "3", "--seed", "7"],
     "stiff": ["--family", "explicit", "--values", "1,1e-3,1e-9,1e-13", "--seed", "8",
               "--mean-scale", "0.1"],
     "soft": ["--family", "explicit", "--values", "2,1e-2,1e-8,1e-12", "--seed", "9",
@@ -105,7 +116,7 @@ MEASURES = {
 }
 PAIRS = [(f"p{d}", f"e{d}") for d in (3, 8, 20, 40)] + [(f"e{d}", f"p{d}") for d in (3, 8, 20, 40)]
 PAIRS += [("thin", "unit"), ("unit", "flat"), ("stiff", "soft"), ("soft", "stiff"), ("far", "near"),
-          ("top", "bottom"), ("p72", "e72")]
+          ("top", "bottom"), ("p72", "e72"), ("p3", "e8")]
 PAIRS += [pair for name in ("deg40", "ill40", "clip40", "warn40") for other in ("p40", "e40")
           for pair in ((name, other), (other, name))]
 RN_PAIRS = [("p3", "e3"), ("p8", "e8"), ("p40", "e40"), ("p72", "e72"), ("thin", "unit"),
@@ -199,6 +210,11 @@ def _calls(tmp: str):
     yield ["div", "--kind", "kl", "--gamma", "1e-3", "--exact", *p3], None
     yield ["div", "--kind", "renyi", "--r", "0.3", "--gamma", "1e-3", *p8], None
     yield ["div", "--kind", "kl", *p8], None
+    # An order given to the kl kind: the exact dispatch reports it, the regularized one
+    # first reports that the dims differ.
+    mismatched = _pair(tmp, "p3", "e8")
+    yield ["div", "--kind", "kl", "--r", "0.3", "--exact", *mismatched], None
+    yield ["div", "--kind", "kl", "--r", "0.3", "--gamma", "1e-3", *mismatched], None
 
 
 def _pair(tmp: str, nu: str, mu: str) -> list[str]:

@@ -515,7 +515,8 @@ def log_radon_nikodym_batch(
 
     A coefficient or a value that overflows a double raises
     :class:`~gaussdiv.errors.NonFinite`, with no numpy warning; the coefficients
-    are checked before any row is computed.
+    are checked before any row is computed.  The rows are evaluated by
+    :func:`_log_rn_pass`, as are the Monte-Carlo checks' freshly drawn ones.
     """
     data = _pair_of(nu, mu, data)
     if data.singular:
@@ -527,25 +528,43 @@ def log_radon_nikodym_batch(
         raise DimMismatch(f"points have dim {points.shape[1]}, measures have dim {mu.dim}")
     if not np.all(np.isfinite(points)):
         raise NonFinite("points contain NaN or Inf")
-    a = data.s_spectrum.eigenvalues
+    return _log_rn_pass(data, points.shape[0], lambda start, stop, spare, centered: points[start:stop])
+
+
+def _log_rn_pass(pair: GaussianPair, rows: int, source) -> np.ndarray:
+    """The log density ratio of ``rows`` points, computed one row block at a time.
+
+    ``source(start, stop, spare, centered)`` returns rows ``start`` to
+    ``stop`` of the points; it may write them into ``centered`` and use
+    ``spare`` as scratch, both ``(stop - start) x dim`` arrays of the calling
+    thread's own.  The pass then overwrites both: ``x - m_mu`` goes into
+    ``centered``, its whitened rows ``x_hat`` into ``spare``.  The
+    coefficients are checked before any row is computed; a coefficient or a
+    value that overflows a double raises :class:`~gaussdiv.errors.NonFinite`,
+    with no numpy warning.
+    """
+    a = pair.s_spectrum.eigenvalues
     one_minus = 1.0 - a
-    d_hat = data.s_spectrum.eigenvectors.T @ data.delta
-    frame = data._rn_frame
+    d_hat = pair.s_spectrum.eigenvectors.T @ pair.delta
+    frame, mean = pair._rn_frame, pair.mu.mean
     with np.errstate(over="ignore", invalid="ignore"):
         const = -0.5 * float(np.sum(np.log1p(-a))) - 0.5 * float(np.sum(d_hat * d_hat / one_minus))
         weights, pull = a / one_minus, d_hat / one_minus
     if not (math.isfinite(const) and np.all(np.isfinite(weights)) and np.all(np.isfinite(pull))):
         raise NonFinite("the log density ratio does not fit in a double")
-    out = np.empty(points.shape[0])
+    out = np.empty(rows)
 
-    def fill(start: int, stop: int) -> None:
+    def fill(start: int, stop: int, spare: np.ndarray, centered: np.ndarray) -> None:
+        x = source(start, stop, spare, centered)
         with np.errstate(over="ignore", invalid="ignore"):
-            x_hat = (points[start:stop] - mu.mean) @ frame
-            quad = -0.5 * (x_hat * x_hat) @ weights
-            cross = x_hat @ pull
-            out[start:stop] = const + quad + cross
+            np.subtract(x, mean, out=centered)
+            x_hat = np.matmul(centered, frame, out=spare)
+            terms = np.multiply(x_hat, x_hat, out=centered)
+            terms *= -0.5
+            value = np.add(const, terms @ weights, out=out[start:stop])
+            value += x_hat @ pull
 
-    _for_row_blocks(points.shape[0], mu.dim, fill)
+    _for_row_blocks(rows, pair.mu.dim, fill, buffers=2)
     if not np.all(np.isfinite(out)):
         raise NonFinite("the log density ratio does not fit in a double")
     return out
@@ -590,7 +609,9 @@ def regularized_renyi(nu: GaussianMeasure, mu: GaussianMeasure, r: float, gamma:
     Warns :class:`~gaussdiv.errors.IllConditioned` when the shifted blend has a
     condition number beyond ``CONDITION_WARN``.
     """
-    return _finite_result(lambda: GaussianPair(nu, mu)._renyi(r, gamma))
+    r = _check_order(r)  # before the pair, as the exact dispatch checks it
+    pair = GaussianPair(nu, mu)
+    return _finite_result(lambda: pair._renyi(r, gamma))
 
 
 def regularized_bhattacharyya(nu: GaussianMeasure, mu: GaussianMeasure, gamma: float) -> float:
@@ -654,5 +675,7 @@ def regularized_divergence(
     gamma: float,
     r: float | None = None,
 ) -> float:
-    """Regularized divergence dispatch by kind, at shift ``gamma > 0``."""
+    """Regularized divergence dispatch by kind, at shift ``gamma > 0``; the kind and the
+    order are checked before the pair, as :func:`exact_divergence` checks them."""
+    _kind_order(kind, r)
     return GaussianPair(nu, mu).regularized(kind, gamma, r)

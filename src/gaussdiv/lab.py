@@ -15,11 +15,17 @@ estimates, and byte-identical CSV files.
 Sampling runs in blocks of rows on several threads.  A block starts its
 generator at the block's first draw, by advancing the Philox counter, so a
 sample matrix does not depend on how its rows are split across threads: with
-one BLAS thread it equals, byte for byte, the matrix of one serial pass.
+one BLAS thread it equals, byte for byte, the matrix of one serial pass.  The
+Monte-Carlo checks never build that matrix: each block is drawn, transformed
+and turned into log density ratios in one pass over its thread's own buffers,
+by the same code as :func:`sample_gaussian` and
+:func:`~gaussdiv.gaussian.log_radon_nikodym_batch`, so their values are those
+of the two calls in a row and their memory is O(n), not O(n dim).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -27,14 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import NotPositive
+from .errors import NotPositive, SingularPair
 from .gaussian import (
     GaussianMeasure,
     GaussianPair,
     _integral,
+    _log_rn_pass,
+    _pair_of,
     exact_divergence,
     exact_renyi,
-    log_radon_nikodym_batch,
 )
 from .operators import SINGULAR_MARGIN, TraceClassBlock, _for_row_blocks, _spectral_sqrt, sym_eigen
 
@@ -57,17 +64,22 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """Draws ``start`` to ``start + count`` of the ``(seed, stream)`` normal sequence.
+def _normals(seed: int, stream: int, start: int, count: int, out=None) -> np.ndarray:
+    """Draws ``start`` to ``start + count`` of the ``(seed, stream)`` normal sequence, written
+    into ``out``, a contiguous float64 vector of ``count`` values, when it is given.
 
     Philox makes four 64-bit words per counter step and each draw takes one
-    word, so ``start`` must be a multiple of 4.
+    word, so ``start`` must be a multiple of 4.  A draw is the inverse normal
+    CDF of ``(k + 1/2) 2^-53``, ``k`` the word's top 53 bits: ``random`` gives
+    ``k 2^-53`` exactly, and adding ``2^-54`` rounds as adding ``1/2`` to ``k``
+    does, the scale being a power of 2.
     """
+    if start % 4:
+        raise ValueError(f"start must be a multiple of 4, got {start}")
     gen = _generator(seed, stream)
     gen.bit_generator.advance(start // 4)
-    u = gen.integers(0, 1 << 53, size=count, dtype=np.uint64).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
+    u = gen.random(out=np.empty(count) if out is None else out)
+    u += 2.0**-54
     return ndtri(u, out=u)
 
 
@@ -165,20 +177,33 @@ def gen_measure(family: SpectrumFamily, seed: int, mean_scale: float = 0.0) -> G
     return GaussianMeasure(mean, TraceClassBlock(0.5 * (cov + cov.T)))
 
 
-def sample_gaussian(measure: GaussianMeasure, n: int, seed: int) -> np.ndarray:
-    """``n`` rows ``mean + C^{1/2} z`` with fresh standard normal ``z`` per row."""
+def _sample_count(n) -> int:
     if not _integral(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def _sample_rows(seed: int, root: np.ndarray, mean: np.ndarray, start: int, stop: int,
+                 z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows ``start`` to ``stop`` of the sample matrix, written into ``out``; ``z``, of
+    ``out``'s shape and C-contiguous, takes their normals."""
+    dim = out.shape[1]
+    _normals(seed, STREAM_SAMPLE, start * dim, (stop - start) * dim, out=z.reshape(-1))
+    np.matmul(z, root, out=out)
+    out += mean
+    return out
+
+
+def sample_gaussian(measure: GaussianMeasure, n: int, seed: int) -> np.ndarray:
+    """``n`` rows ``mean + C^{1/2} z`` with fresh standard normal ``z`` per row."""
+    n = _sample_count(n)
     root = _spectral_sqrt(measure.spectrum).entries
-    dim = measure.dim
-    samples = np.empty((int(n), dim))
+    samples = np.empty((n, measure.dim))
 
-    def fill(start: int, stop: int) -> None:
-        z = _normals(seed, STREAM_SAMPLE, start * dim, (stop - start) * dim)
-        block = np.matmul(z.reshape(stop - start, dim), root, out=samples[start:stop])
-        block += measure.mean
+    def fill(start: int, stop: int, z: np.ndarray) -> None:
+        _sample_rows(seed, root, measure.mean, start, stop, z, samples[start:stop])
 
-    _for_row_blocks(int(n), dim, fill)
+    _for_row_blocks(n, measure.dim, fill, buffers=1)
     return samples
 
 
@@ -192,6 +217,19 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     if vals.size < 2:
         raise ValueError(f"a standard error needs at least 2 samples, got {vals.size}")
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+
+
+def _sampled_log_rn(measure: GaussianMeasure, nu: GaussianMeasure, mu: GaussianMeasure,
+                    n: int, seed: int, data: GaussianPair | None) -> np.ndarray:
+    """``log_radon_nikodym_batch(sample_gaussian(measure, n, seed), nu, mu, data=data)``,
+    value for value, without the sample matrix: each row block is drawn into its
+    thread's own buffer and evaluated there, so memory is O(n), not O(n dim)."""
+    n = _sample_count(n)
+    root = _spectral_sqrt(measure.spectrum).entries
+    pair = _pair_of(nu, mu, data)
+    if pair.singular:
+        raise SingularPair("measures are mutually singular")
+    return _log_rn_pass(pair, n, functools.partial(_sample_rows, seed, root, measure.mean))
 
 
 def mc_kl_check(
@@ -208,8 +246,7 @@ def mc_kl_check(
     errors of :func:`~gaussdiv.gaussian.exact_kl`.  ``data``, the
     :class:`~gaussdiv.gaussian.GaussianPair` ``(nu, mu)``, lends its whitening.
     """
-    samples = sample_gaussian(nu, n, seed)
-    return _mean_stderr(log_radon_nikodym_batch(samples, nu, mu, data=data))
+    return _mean_stderr(_sampled_log_rn(nu, nu, mu, n, seed, data))
 
 
 def mc_rn_normalization(
@@ -221,8 +258,7 @@ def mc_rn_normalization(
     data: GaussianPair | None = None,
 ) -> tuple[float, float]:
     """mu-mean of exp(log density ratio); the exact value is 1 (total mass of nu)."""
-    samples = sample_gaussian(mu, n, seed)
-    return _mean_stderr(np.exp(log_radon_nikodym_batch(samples, nu, mu, data=data)))
+    return _mean_stderr(np.exp(_sampled_log_rn(mu, nu, mu, n, seed, data)))
 
 
 def gauss_exp_quadratic(

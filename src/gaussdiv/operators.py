@@ -37,8 +37,9 @@ from .errors import (
 )
 
 
-# float64 values per row block of the Monte-Carlo passes, 2 MB: a block's
-# normals, samples and whitened rows stay in a core's cache between passes.
+# float64 values per row block of the Monte-Carlo passes, 2 MB: a block is
+# drawn, transformed and evaluated in one pass over its thread's own buffers,
+# so its normals, samples and whitened rows stay in a core's cache.
 _BLOCK_VALUES = 1 << 18
 
 # The package's numerical thresholds, the same for every call.
@@ -400,20 +401,25 @@ def _warn_ill_conditioned(ill: bool) -> None:
         )
 
 
-def _for_row_blocks(rows: int, width: int, fill) -> None:
-    """Call ``fill(start, stop)`` over consecutive row ranges covering ``range(rows)``.
+def _for_row_blocks(rows: int, width: int, fill, buffers: int = 0) -> None:
+    """Call ``fill(start, stop, *scratch)`` over consecutive row ranges covering ``range(rows)``.
 
-    It serves the two Monte-Carlo passes, ``lab.sample_gaussian`` and
-    ``gaussian.log_radon_nikodym_batch``.  A range holds a multiple of 12
-    rows, about ``_BLOCK_VALUES`` values of ``width`` each, and the last range
-    takes the remainder.  With one BLAS thread, every row of a range's matmul
-    then rounds as in one call over all rows: 12 is a multiple of Philox's
-    four words per step and of the row panels of OpenBLAS's AVX-512 dgemm, and
-    a split job has no short range, which BLAS would multiply with its
+    It serves the two Monte-Carlo passes, sampling (``lab.sample_gaussian``)
+    and the log density ratio of given or freshly drawn rows
+    (``gaussian._log_rn_pass``).  A range holds a multiple of 12 rows, about
+    ``_BLOCK_VALUES`` values of ``width`` each, and the last range takes the
+    remainder.  With one BLAS thread, every row of a range's matmul then
+    rounds as in one call over all rows: 12 is a multiple of Philox's four
+    words per step and of the row panels of OpenBLAS's AVX-512 dgemm, and a
+    split job has no short range, which BLAS would multiply with its
     small-matrix or one-row kernels.  The ranges run on up to one thread per
     CPU of the process, the calling thread among them; with one range or one
     CPU it runs them all, in order.  numpy ufuncs, Philox and BLAS release the
-    GIL.  Every thread is joined before the first exception of ``fill``
+    GIL.  Each thread owns ``buffers`` float64 arrays, made on the calling
+    thread before any range runs and never handed to another thread;
+    ``scratch`` is their first ``stop - start`` rows.  They have room for the
+    longest range of any job of this width, so their size does not grow with
+    ``rows``.  Every thread is joined before the first exception of ``fill``
     propagates.  ``fill`` writes disjoint rows and calls no traced entry
     point: no public ``gaussdiv`` function and no ``numpy.linalg`` or
     ``scipy.linalg`` one.
@@ -426,24 +432,27 @@ def _for_row_blocks(rows: int, width: int, fill) -> None:
     except AttributeError:
         cpus = os.cpu_count() or 1
     workers = min(cpus, len(ranges))
+    longest = min(rows, 2 * step - 1)
+    owned = [[np.empty((longest, width)) for _ in range(buffers)] for _ in range(max(workers, 1))]
     jobs, lock, errors = iter(ranges), threading.Lock(), []
 
-    def work() -> None:
+    def work(scratch: list) -> None:
         while not errors:
             with lock:
                 job = next(jobs, None)
             if job is None:
                 return
+            start, stop = job
             try:
-                fill(*job)
+                fill(start, stop, *(buf[: stop - start] for buf in scratch))
             except BaseException as exc:
                 errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work, args=(scratch,)) for scratch in owned[1:]]
     for thread in threads:
         thread.start()
     try:
-        work()
+        work(owned[0])
     finally:
         for thread in threads:
             thread.join()

@@ -452,12 +452,20 @@ class TestDivergenceDispatch:
                 gd.exact_divergence(nu, mu, "renyi", 1.0, data=data)
             with pytest.raises(ValueError, match="only applies to renyi"):
                 gd.exact_divergence(nu, mu, "kl", 0.5, data=data)
-        # The exact dispatch checks the kind first, the regularized one the dims.
+        # Both dispatches check the kind and the order before the dims.
         other_dim = gd.GaussianMeasure(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError, match="unknown divergence kind"):
             gd.exact_divergence(nu, other_dim, "nope")
-        with pytest.raises(gd.DimMismatch):
+        with pytest.raises(ValueError, match="unknown divergence kind"):
             gd.regularized_divergence(nu, other_dim, "nope", 1e-3)
+        with pytest.raises(ValueError, match="only applies to renyi"):
+            gd.regularized_divergence(nu, other_dim, "kl", 1e-3, 0.3)
+        with pytest.raises(ValueError, match="r must lie in"):
+            gd.exact_renyi(nu, other_dim, 1.5)
+        with pytest.raises(ValueError, match="r must lie in"):
+            gd.regularized_renyi(nu, other_dim, 1.5, 1e-3)
+        with pytest.raises(gd.DimMismatch):
+            gd.regularized_divergence(nu, other_dim, "kl", 1e-3)
 
 
 class TestDefaultPair:

@@ -1,8 +1,13 @@
-"""Row-block sampling and log density ratios against frozen serial references.
+"""Row-block sampling, log density ratios and Monte-Carlo checks against frozen serial references.
 
 ``sample_gaussian`` and ``log_radon_nikodym_batch`` fill their outputs in row
 blocks, on as many threads as the process has CPUs; each block of samples
 draws its own window of the normal sequence (``lab._normals``).
+``mc_kl_check`` and ``mc_rn_normalization`` draw and evaluate each block in
+one pass, with no sample matrix; they must equal the mean and standard error
+of the frozen log density ratio of the frozen sample matrix, repeat byte for
+byte under thread-switching stress, and peak less than 1 MB higher for 40000
+samples at dim 200 than for 20000 (the matrix would be 32 MB more).
 ``standard_normal`` draws in one serial pass.  The serial versions are frozen
 in this file.  Normals pass through no BLAS, so ``standard_normal`` and the
 block windows must equal their frozen copy byte for byte here.  Samples and
@@ -21,6 +26,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -114,8 +120,19 @@ def block_normals(seed, rows, width):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def frozen_mc_checks(dim, n, seed):
+    """``mc_kl_check`` and ``mc_rn_normalization`` as the mean and standard error of the
+    frozen log density ratio of a frozen sample matrix, of ``nu`` and of ``mu``."""
+    nu, mu = _pair(dim)
+    log_rn = {m: frozen_log_radon_nikodym_batch(frozen_sample_gaussian(m, n, seed), nu, mu)
+              for m in (nu, mu)}
+    return lab._mean_stderr(log_rn[nu]), lab._mean_stderr(np.exp(log_rn[mu]))
+
+
 def _sample_and_rn(dim, n, seed):
-    """``(name, got, want)`` for the samples and the log density ratios of one case."""
+    """``(name, got, want)`` for the samples, the log density ratios and, from two
+    samples on, the Monte-Carlo checks of one case."""
     nu, mu = _pair(dim)
     samples = gd.sample_gaussian(nu, n, seed)
     yield "samples", samples, frozen_sample_gaussian(nu, n, seed)
@@ -123,6 +140,10 @@ def _sample_and_rn(dim, n, seed):
                          ("log rn, one point", samples[0])):
         want = frozen_log_radon_nikodym_batch(points, nu, mu)
         yield name, gd.log_radon_nikodym_batch(points, nu, mu), want
+    if n >= 2:
+        kl, norm = frozen_mc_checks(dim, n, seed)
+        yield "mc_kl_check", np.array(gd.mc_kl_check(nu, mu, n, seed)), np.array(kl)
+        yield "mc_rn_normalization", np.array(gd.mc_rn_normalization(nu, mu, n, seed)), np.array(norm)
 
 
 def pinned_mismatches() -> list[str]:
@@ -293,3 +314,58 @@ def test_every_range_runs_once_under_thread_switching_stress(cpus):
             assert np.all(tally == 1)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_normal_windows_start_on_a_philox_step():
+    # The generator advances by whole counter steps of four draws: a window that
+    # started between them would silently repeat the draws before it.
+    assert lab._normals(5, 3, 4, 4).tobytes() == lab._normals(5, 3, 0, 8)[4:].tobytes()
+    for start in (1, 2, 3, 5, 4 * 1308 * 200 + 2):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            lab._normals(5, 3, start, 4)
+
+
+# ---------------------------------------------------------------------------
+# The Monte-Carlo checks' one pass
+# ---------------------------------------------------------------------------
+
+
+def test_monte_carlo_checks_repeat_byte_for_byte_under_thread_switching_stress(cpus, monkeypatch):
+    # Four workers on 49 ranges, and a thread switch every microsecond: a buffer
+    # that two ranges wrote at once would change some repeat's bytes.
+    cpus(4)
+    monkeypatch.setattr(operators, "_BLOCK_VALUES", 1 << 14)
+    nu, mu = _pair(40)
+    pair = gd.GaussianPair(nu, mu)
+
+    def checks():
+        return np.array(gd.mc_kl_check(nu, mu, 20_011, 9, data=pair)
+                        + gd.mc_rn_normalization(nu, mu, 20_011, 9, data=pair)).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        first = checks()
+        for _ in range(19):
+            assert checks() == first
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpu_count", [1, 2, 4])
+def test_monte_carlo_memory_does_not_grow_with_the_sample_matrix(cpus, cpu_count):
+    # At dim 200 another 20000 samples are 32 MB as a matrix and 160 kB as log
+    # density ratios; each worker's buffers have room for any range of the width.
+    cpus(cpu_count)
+    nu, mu = _pair(200)
+    pair = gd.GaussianPair(nu, mu)
+    gd.mc_kl_check(nu, mu, 100, 1, data=pair)  # fills the pair's caches
+    peaks = {}
+    for n in (20_000, 40_000):
+        tracemalloc.start()
+        try:
+            gd.mc_kl_check(nu, mu, n, 1, data=pair)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[40_000] - peaks[20_000] < 1 << 20

@@ -515,8 +515,8 @@ def log_radon_nikodym_batch(
 
     A coefficient or a value that overflows a double raises
     :class:`~gaussdiv.errors.NonFinite`, with no numpy warning; the coefficients
-    are checked before any row is computed.  The rows are evaluated by
-    :func:`_log_rn_pass`, as are the Monte-Carlo checks' freshly drawn ones.
+    are checked before any row is computed.  Rows are whitened as ``(x - m_mu) L^{-T} V``
+    and evaluated by :func:`_log_rn_pass`, as the Monte-Carlo checks' draws are.
     """
     data = _pair_of(nu, mu, data)
     if data.singular:
@@ -528,38 +528,35 @@ def log_radon_nikodym_batch(
         raise DimMismatch(f"points have dim {points.shape[1]}, measures have dim {mu.dim}")
     if not np.all(np.isfinite(points)):
         raise NonFinite("points contain NaN or Inf")
-    return _log_rn_pass(data, points.shape[0], lambda start, stop, spare, centered: points[start:stop])
+    frame = data._rn_frame
+    return _log_rn_pass(data, points.shape[0], lambda start, stop, spare, scratch: np.matmul(
+        np.subtract(points[start:stop], mu.mean, out=spare), frame, out=scratch))
 
 
-def _log_rn_pass(pair: GaussianPair, rows: int, source) -> np.ndarray:
+def _log_rn_pass(pair: GaussianPair, rows: int, whiten, operands=()) -> np.ndarray:
     """The log density ratio of ``rows`` points, computed one row block at a time.
 
-    ``source(start, stop, spare, centered)`` returns rows ``start`` to
-    ``stop`` of the points; it may write them into ``centered`` and use
-    ``spare`` as scratch, both ``(stop - start) x dim`` arrays of the calling
-    thread's own.  The pass then overwrites both: ``x - m_mu`` goes into
-    ``centered``, its whitened rows ``x_hat`` into ``spare``.  The
-    coefficients are checked before any row is computed; a coefficient or a
-    value that overflows a double raises :class:`~gaussdiv.errors.NonFinite`,
-    with no numpy warning.
+    ``whiten(start, stop, spare, scratch)`` returns rows ``start`` to ``stop`` of the
+    points whitened, ``(x - m_mu) L^{-T} V``, in ``scratch``, and may use ``spare``;
+    both are ``(stop - start) x dim`` arrays of the calling thread's own.  The
+    coefficients, then ``operands`` (the arrays ``whiten`` multiplies by), are checked
+    before any row is computed; a coefficient, an operand or a value that overflows a
+    double raises :class:`~gaussdiv.errors.NonFinite`, with no numpy warning.
     """
     a = pair.s_spectrum.eigenvalues
     one_minus = 1.0 - a
     d_hat = pair.s_spectrum.eigenvectors.T @ pair.delta
-    frame, mean = pair._rn_frame, pair.mu.mean
     with np.errstate(over="ignore", invalid="ignore"):
         const = -0.5 * float(np.sum(np.log1p(-a))) - 0.5 * float(np.sum(d_hat * d_hat / one_minus))
         weights, pull = a / one_minus, d_hat / one_minus
-    if not (math.isfinite(const) and np.all(np.isfinite(weights)) and np.all(np.isfinite(pull))):
+    if not (math.isfinite(const) and all(np.all(np.isfinite(v)) for v in (weights, pull, *operands))):
         raise NonFinite("the log density ratio does not fit in a double")
     out = np.empty(rows)
 
-    def fill(start: int, stop: int, spare: np.ndarray, centered: np.ndarray) -> None:
-        x = source(start, stop, spare, centered)
+    def fill(start: int, stop: int, spare: np.ndarray, scratch: np.ndarray) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(x, mean, out=centered)
-            x_hat = np.matmul(centered, frame, out=spare)
-            terms = np.multiply(x_hat, x_hat, out=centered)
+            x_hat = whiten(start, stop, spare, scratch)
+            terms = np.multiply(x_hat, x_hat, out=spare)
             terms *= -0.5
             value = np.add(const, terms @ weights, out=out[start:stop])
             value += x_hat @ pull

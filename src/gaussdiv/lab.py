@@ -16,11 +16,10 @@ Sampling runs in blocks of rows on several threads.  A block starts its
 generator at the block's first draw, by advancing the Philox counter, so a
 sample matrix does not depend on how its rows are split across threads: with
 one BLAS thread it equals, byte for byte, the matrix of one serial pass.  The
-Monte-Carlo checks never build that matrix: each block is drawn, transformed
-and turned into log density ratios in one pass over its thread's own buffers,
-by the same code as :func:`sample_gaussian` and
-:func:`~gaussdiv.gaussian.log_radon_nikodym_batch`, so their values are those
-of the two calls in a row and their memory is O(n), not O(n dim).
+Monte-Carlo checks never build that matrix: a sample row ``z C^{1/2} + m`` whitens
+to ``z T + b``, so each block's normals take one product by ``T`` and the log density
+ratio's row evaluation in the thread's own buffers, in O(n) memory; their values are
+those of the two public calls in a row to 1e-12 relative, not byte for byte.
 """
 
 from __future__ import annotations
@@ -72,7 +71,8 @@ def _normals(seed: int, stream: int, start: int, count: int, out=None) -> np.nda
     word, so ``start`` must be a multiple of 4.  A draw is the inverse normal
     CDF of ``(k + 1/2) 2^-53``, ``k`` the word's top 53 bits: ``random`` gives
     ``k 2^-53`` exactly, and adding ``2^-54`` rounds as adding ``1/2`` to ``k``
-    does, the scale being a power of 2.
+    does, the scale being a power of 2.  For ``k = 2^53 - 1`` the sum is a tie that
+    rounds to 1 (``inf`` as a draw), so it is clamped to ``1 - 2^-53``; no other draw moves.
     """
     if start % 4:
         raise ValueError(f"start must be a multiple of 4, got {start}")
@@ -80,7 +80,7 @@ def _normals(seed: int, stream: int, start: int, count: int, out=None) -> np.nda
     gen.bit_generator.advance(start // 4)
     u = gen.random(out=np.empty(count) if out is None else out)
     u += 2.0**-54
-    return ndtri(u, out=u)
+    return ndtri(np.minimum(u, 1.0 - 2.0**-53, out=u), out=u)
 
 
 def standard_normal(seed: int, stream: int, shape) -> np.ndarray:
@@ -183,14 +183,15 @@ def _sample_count(n) -> int:
     return int(n)
 
 
-def _sample_rows(seed: int, root: np.ndarray, mean: np.ndarray, start: int, stop: int,
+def _sample_rows(seed: int, root: np.ndarray, mean: np.ndarray | None, start: int, stop: int,
                  z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Rows ``start`` to ``stop`` of the sample matrix, written into ``out``; ``z``, of
-    ``out``'s shape and C-contiguous, takes their normals."""
+    """Rows ``start`` to ``stop`` of ``z root + mean`` (no add for ``None``), written into ``out``;
+    ``z``, of ``out``'s shape and C-contiguous, takes the rows' normals."""
     dim = out.shape[1]
     _normals(seed, STREAM_SAMPLE, start * dim, (stop - start) * dim, out=z.reshape(-1))
     np.matmul(z, root, out=out)
-    out += mean
+    if mean is not None:
+        out += mean
     return out
 
 
@@ -221,15 +222,18 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
 
 def _sampled_log_rn(measure: GaussianMeasure, nu: GaussianMeasure, mu: GaussianMeasure,
                     n: int, seed: int, data: GaussianPair | None) -> np.ndarray:
-    """``log_radon_nikodym_batch(sample_gaussian(measure, n, seed), nu, mu, data=data)``,
-    value for value, without the sample matrix: each row block is drawn into its
-    thread's own buffer and evaluated there, so memory is O(n), not O(n dim)."""
+    """``log_radon_nikodym_batch(sample_gaussian(measure, n, seed), nu, mu, data=data)`` to
+    1e-12 in O(n) memory: a sample row ``z C^{1/2} + m`` whitens to ``z T + b``, with
+    ``T = C^{1/2} L^{-T} V`` and ``b = (m - m_mu) L^{-T} V`` (0 for ``mu``, so not added)."""
     n = _sample_count(n)
-    root = _spectral_sqrt(measure.spectrum).entries
     pair = _pair_of(nu, mu, data)
     if pair.singular:
         raise SingularPair("measures are mutually singular")
-    return _log_rn_pass(pair, n, functools.partial(_sample_rows, seed, root, measure.mean))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_mat = _spectral_sqrt(measure.spectrum).entries @ pair._rn_frame
+        offset = None if measure is mu else pair.mean_diff @ pair._rn_frame
+    return _log_rn_pass(pair, n, functools.partial(_sample_rows, seed, t_mat, offset),
+                        (t_mat,) if offset is None else (t_mat, offset))
 
 
 def mc_kl_check(

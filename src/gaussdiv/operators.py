@@ -404,12 +404,12 @@ def _warn_ill_conditioned(ill: bool) -> None:
 def _for_row_blocks(rows: int, width: int, fill, buffers: int = 0) -> None:
     """Call ``fill(start, stop, *scratch)`` over consecutive row ranges covering ``range(rows)``.
 
-    It serves the two Monte-Carlo passes, sampling (``lab.sample_gaussian``)
-    and the log density ratio of given or freshly drawn rows
-    (``gaussian._log_rn_pass``).  A range holds a multiple of 12 rows, about
-    ``_BLOCK_VALUES`` values of ``width`` each, and the last range takes the
-    remainder.  With one BLAS thread, every row of a range's matmul then
-    rounds as in one call over all rows: 12 is a multiple of Philox's four
+    It serves sampling (``lab.sample_gaussian``, ``z C^{1/2}``) and the log
+    density ratio (``gaussian._log_rn_pass``) of given rows, ``(x - m) L^{-T} V``,
+    or of normals whitened by one product, ``z T``.  A range holds a multiple of
+    12 rows, about ``_BLOCK_VALUES`` values of ``width`` each, and the last range
+    takes the remainder.  With one BLAS thread, every row of a range's matmul
+    then rounds as in one call over all rows: 12 is a multiple of Philox's four
     words per step and of the row panels of OpenBLAS's AVX-512 dgemm, and a
     split job has no short range, which BLAS would multiply with its
     small-matrix or one-row kernels.  The ranges run on up to one thread per

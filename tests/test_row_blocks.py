@@ -64,10 +64,13 @@ def frozen_sample_gaussian(measure, n, seed):
 def frozen_log_radon_nikodym_batch(points, nu, mu):
     data = _pair_of(nu, mu, None)
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    return frozen_log_rn_of_whitened((points - mu.mean) @ data._rn_frame, data)
+
+
+def frozen_log_rn_of_whitened(x_hat, data):
     a = data.s_spectrum.eigenvalues
     one_minus = 1.0 - a
     d_hat = data.s_spectrum.eigenvectors.T @ data.delta
-    x_hat = (points - mu.mean) @ data._rn_frame
     const = -0.5 * float(np.sum(np.log1p(-a))) - 0.5 * float(np.sum(d_hat * d_hat / one_minus))
     quad = -0.5 * (x_hat * x_hat) @ (a / one_minus)
     cross = x_hat @ (d_hat / one_minus)
@@ -123,10 +126,19 @@ def block_normals(seed, rows, width):
 @functools.lru_cache(maxsize=None)
 def frozen_mc_checks(dim, n, seed):
     """``mc_kl_check`` and ``mc_rn_normalization`` as the mean and standard error of the
-    frozen log density ratio of a frozen sample matrix, of ``nu`` and of ``mu``."""
+    frozen log density ratio of frozen normals whitened by one product, ``z T + b``, of
+    ``nu`` and of ``mu``: ``T = C^{1/2} L^{-T} V`` of the sampled measure and
+    ``b = (m - m_mu) L^{-T} V``, which ``mu``'s draws do not add."""
     nu, mu = _pair(dim)
-    log_rn = {m: frozen_log_radon_nikodym_batch(frozen_sample_gaussian(m, n, seed), nu, mu)
-              for m in (nu, mu)}
+    data = _pair_of(nu, mu, None)
+    frame = data._rn_frame
+    log_rn = {}
+    for m in (nu, mu):
+        root = operators._spectral_sqrt(m.spectrum).entries
+        x_hat = frozen_standard_normal(seed, STREAM_SAMPLE, (int(n), dim)) @ (root @ frame)
+        if m is nu:
+            x_hat += data.mean_diff @ frame
+        log_rn[m] = frozen_log_rn_of_whitened(x_hat, data)
     return lab._mean_stderr(log_rn[nu]), lab._mean_stderr(np.exp(log_rn[mu]))
 
 

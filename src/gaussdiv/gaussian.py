@@ -536,12 +536,11 @@ def log_radon_nikodym_batch(
 def _log_rn_pass(pair: GaussianPair, rows: int, whiten, operands=()) -> np.ndarray:
     """The log density ratio of ``rows`` points, computed one row block at a time.
 
-    ``whiten(start, stop, spare, scratch)`` returns rows ``start`` to ``stop`` of the
-    points whitened, ``(x - m_mu) L^{-T} V``, in ``scratch``, and may use ``spare``;
-    both are ``(stop - start) x dim`` arrays of the calling thread's own.  The
-    coefficients, then ``operands`` (the arrays ``whiten`` multiplies by), are checked
-    before any row is computed; a coefficient, an operand or a value that overflows a
-    double raises :class:`~gaussdiv.errors.NonFinite`, with no numpy warning.
+    ``whiten(start, stop, spare, scratch)`` returns rows ``start`` to ``stop`` of the points
+    whitened, ``(x - m_mu) L^{-T} V``, in ``scratch`` and may use ``spare``, both arrays of
+    the calling thread's own.  The coefficients, then ``operands`` (what ``whiten`` multiplies
+    by), are checked before any row is computed; a coefficient, an operand or a value that
+    overflows a double raises :class:`~gaussdiv.errors.NonFinite`, with no numpy warning.
     """
     a = pair.s_spectrum.eigenvalues
     one_minus = 1.0 - a

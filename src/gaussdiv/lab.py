@@ -226,11 +226,12 @@ def _sampled_log_rn(measure: GaussianMeasure, nu: GaussianMeasure, mu: GaussianM
     1e-12 in O(n) memory: a sample row ``z C^{1/2} + m`` whitens to ``z T + b``, with
     ``T = C^{1/2} L^{-T} V`` and ``b = (m - m_mu) L^{-T} V`` (0 for ``mu``, so not added)."""
     n = _sample_count(n)
+    root = _spectral_sqrt(measure.spectrum).entries
     pair = _pair_of(nu, mu, data)
     if pair.singular:
         raise SingularPair("measures are mutually singular")
     with np.errstate(over="ignore", invalid="ignore"):
-        t_mat = _spectral_sqrt(measure.spectrum).entries @ pair._rn_frame
+        t_mat = root @ pair._rn_frame
         offset = None if measure is mu else pair.mean_diff @ pair._rn_frame
     return _log_rn_pass(pair, n, functools.partial(_sample_rows, seed, t_mat, offset),
                         (t_mat,) if offset is None else (t_mat, offset))

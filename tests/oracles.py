@@ -82,6 +82,26 @@ def kl_closed(m1, c1, m2, c2):
     return 0.5 * (trace - dim + quad + ld2 - ld1)
 
 
+def log_rn_cumulants(nu, mu):
+    """Variance and fourth cumulant of ``log dnu/dmu`` under ``nu``, from dense solves.
+
+    In the eigenbasis of ``S``, with spectrum ``a`` and whitened mean shift
+    ``d_hat``, the log ratio under ``nu`` is a constant plus the independent terms
+    ``-a_k g_k^2 / 2 + sqrt(1 - a_k) d_hat_k g_k`` of standard normals ``g_k``.  So
+    its variance is ``V = 1/2 sum a^2 + sum (1-a) d_hat^2`` and its fourth cumulant
+    ``3 sum a^4 + 12 sum a^2 (1-a) d_hat^2``.  ``K = I - C_mu^{-1} C_nu`` is similar
+    to ``S`` (``K = L^{-T} S L^T``), so with ``u = C_mu^{-1} (m_nu - m_mu)`` the
+    sums are ``tr K^j`` and ``(m_nu - m_mu)^T K^j (I - K) u``.
+    """
+    dm = nu.mean - mu.mean
+    c_mu, c_nu = mu.cov.entries, nu.cov.entries
+    k = np.eye(nu.dim) - np.linalg.solve(c_mu, c_nu)
+    k2 = k @ k
+    w = np.linalg.solve(c_mu, c_nu @ np.linalg.solve(c_mu, dm))  # (I - K) u
+    var = 0.5 * np.trace(k2) + dm @ w
+    return float(var), float(3.0 * np.trace(k2 @ k2) + 12.0 * dm @ (k2 @ w))
+
+
 def renyi_closed(m1, c1, m2, c2, r):
     """Order-r Renyi divergence normalized as -1/(r(1-r)) log integral p^r q^{1-r}."""
     dm = np.asarray(m1, dtype=float) - np.asarray(m2, dtype=float)

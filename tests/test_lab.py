@@ -6,10 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose
 
 import gaussdiv as gd
+from gaussdiv import lab
 from gaussdiv.lab import STREAM_MEAN, STREAM_ORTHO, STREAM_SAMPLE
+from oracles import log_rn_cumulants, perturbed_pair
 
 
 class TestSeeding:
@@ -30,6 +33,38 @@ class TestSeeding:
         z = gd.standard_normal(7, STREAM_SAMPLE, 200_000)
         assert abs(float(np.mean(z))) < 0.01
         assert abs(float(np.std(z)) - 1.0) < 0.01
+
+
+    def test_the_top_philox_word_gives_a_finite_normal(self, monkeypatch):
+        # For the word 2^64 - 1, k = 2^53 - 1 and (1 - 2^-53) + 2^-54 is a tie
+        # that rounds to even, 1.0, whose inverse normal CDF is +inf.
+        words = np.array([2**64 - 1, 0, 2**63, 2**64 - 2**11 - 1], dtype=np.uint64)
+
+        class Words:
+            """Yields ``words`` over and over; ``random`` keeps a word's top 53 bits, as numpy's does."""
+
+            def __init__(self):
+                self.bit_generator = self
+
+            def advance(self, steps):
+                pass
+
+            def random(self, out):
+                out[...] = np.resize(words >> np.uint64(11), out.shape) * 2.0**-53
+                return out
+
+        real = lab._generator(5, STREAM_SAMPLE)
+        raw = lab._generator(5, STREAM_SAMPLE).bit_generator.random_raw(8)
+        assert real.random(8).tobytes() == ((raw >> np.uint64(11)) * 2.0**-53).tobytes()
+        monkeypatch.setattr(lab, "_generator", lambda seed, stream: Words())
+        top = float(scipy.special.ndtri(1.0 - 2.0**-53))
+        assert lab._normals(5, STREAM_SAMPLE, 0, 4).tolist() == [
+            top, float(scipy.special.ndtri(2.0**-54)), float(scipy.special.ndtri(0.5 + 2.0**-54)),
+            float(scipy.special.ndtri(1.0 - 2.0**-52)),  # the next k down keeps its draw
+        ]
+        assert 8.2 < top < 8.3
+        samples = gd.sample_gaussian(gd.GaussianMeasure([1.0, 2.0], np.eye(2)), 10, seed=3)
+        assert np.all(np.isfinite(samples)) and samples[0, 0] == 1.0 + top
 
 
 class TestSpectrumFamilies:
@@ -195,6 +230,22 @@ class TestMonteCarloKL:
             gd.mc_kl_check(nu, mu, 1, seed=1)
         with pytest.raises(ValueError):
             gd.mc_rn_normalization(nu, mu, 1, seed=1)
+
+
+    @pytest.mark.parametrize("dim", [5, 40, 200])
+    def test_the_standard_error_matches_the_closed_form_variance(self, dim):
+        # n stderr^2 is the sample variance s^2 of the n log ratios.  For iid draws
+        # Var(s^2) = kappa4 / n + 2 V^2 / (n - 1), so the ratio s^2 / V has standard
+        # deviation sqrt(kappa4 / (n V^2) + 2 / (n - 1)), about 0.01 here; 5 of them
+        # leave room for the ratio's skew at this n and still catch a whitening off
+        # by a few percent.
+        nu, mu = perturbed_pair(np.random.default_rng(dim), dim)
+        var, kappa4 = log_rn_cumulants(nu, mu)
+        pair, n = gd.GaussianPair(nu, mu), 20_000
+        band = 5.0 * math.sqrt(kappa4 / (n * var * var) + 2.0 / (n - 1))
+        for seed in range(5):
+            _, stderr = gd.mc_kl_check(nu, mu, n, seed, data=pair)
+            assert abs(n * stderr**2 / var - 1.0) <= band, (seed, n * stderr**2 / var, band)
 
 
 class TestGaussExpQuadratic:

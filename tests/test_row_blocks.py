@@ -3,18 +3,23 @@
 ``sample_gaussian`` and ``log_radon_nikodym_batch`` fill their outputs in row
 blocks, on as many threads as the process has CPUs; each block of samples
 draws its own window of the normal sequence (``lab._normals``).
-``mc_kl_check`` and ``mc_rn_normalization`` draw and evaluate each block in
-one pass, with no sample matrix; they must equal the mean and standard error
-of the frozen log density ratio of the frozen sample matrix, repeat byte for
-byte under thread-switching stress, and peak less than 1 MB higher for 40000
-samples at dim 200 than for 20000 (the matrix would be 32 MB more).
+``mc_kl_check`` and ``mc_rn_normalization`` draw and whiten each block in one
+pass, with no sample matrix: a row ``z C^{1/2} + m`` becomes ``z T + b`` by one
+matrix product, ``T = C^{1/2} L^{-T} V`` and ``b = (m - m_mu) L^{-T} V`` (not
+added for ``mu``).  They must equal the mean and standard error of the frozen
+log density ratio of the frozen normals whitened that way, equal the two
+public calls in a row (``log_radon_nikodym_batch`` of ``sample_gaussian``) to
+1e-12 relative, repeat byte for byte under thread-switching stress, and peak
+less than 1 MB higher for 40000 samples at dim 200 than for 20000 (the matrix
+would be 32 MB more).
 ``standard_normal`` draws in one serial pass.  The serial versions are frozen
 in this file.  Normals pass through no BLAS, so ``standard_normal`` and the
-block windows must equal their frozen copy byte for byte here.  Samples and
-log density ratios pass through BLAS, whose rounding depends on its own thread
-count, so they are compared byte for byte in a subprocess with BLAS pinned to
-one thread, and to relative 1e-13 here.  The byte comparisons of the blocks run
-at three block sizes: the default, a small one and one block for the whole job.
+block windows must equal their frozen copy byte for byte here.  Samples, log
+density ratios and the Monte-Carlo checks pass through BLAS, whose rounding
+depends on its own thread count, so they are compared byte for byte in a
+subprocess with BLAS pinned to one thread, and to relative 1e-13 here.  The
+byte comparisons of the blocks run at three block sizes: the default, a small
+one and one block for the whole job.
 The small block for normals is the smallest, 12 rows.  For samples and log
 density ratios it is 2**14 values: OpenBLAS multiplies blocks of a few rows
 with its small-matrix kernels, which round differently from the kernels of one
@@ -99,6 +104,9 @@ WINDOW_CASES = ((524_291, 1), (70_001, 13), (5_000, 200), (5_000, 201))
 # the benchmark's dim 200.
 SAMPLE_CASES = ((1, 1), (1, 524_291), (3, 262_153), (5, 1), (40, 20_011), (65, 8_077),
                 (201, 5_000), (200, 20_000))
+
+# Rows of a range of the default block size at width 200.
+STEP_200 = operators._BLOCK_VALUES // 200 // 12 * 12
 
 NORMAL_BLOCK_VALUES = {"default": operators._BLOCK_VALUES, "12 rows": 1, "one block": 1 << 62}
 BLOCK_VALUES = {"default": operators._BLOCK_VALUES, "2**14 values": 1 << 14, "one block": 1 << 62}
@@ -215,6 +223,21 @@ def test_samples_and_log_rn_match_the_serial_versions_in_process():
             assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale, err_msg=f"{name} {dim} {n}")
 
 
+def test_monte_carlo_checks_equal_the_two_public_calls_to_1e_12():
+    # One product z T + b rounds otherwise than z C^{1/2} + m, then (x - m_mu) L^{-T} V:
+    # only the last bits of the log ratios move, a few units of 1e-15 relative.
+    seed = 2**63 + 5
+    for dim, n in SAMPLE_CASES:
+        if n < 2:
+            continue
+        nu, mu = _pair(dim)
+        for check, measure, values in ((gd.mc_kl_check, nu, np.asarray),
+                                       (gd.mc_rn_normalization, mu, np.exp)):
+            log_rn = gd.log_radon_nikodym_batch(gd.sample_gaussian(measure, n, seed), nu, mu)
+            want = lab._mean_stderr(values(log_rn))
+            assert_allclose(check(nu, mu, n, seed), want, rtol=1e-12, atol=0, err_msg=f"{dim} {n}")
+
+
 # ---------------------------------------------------------------------------
 # The row-block helper
 # ---------------------------------------------------------------------------
@@ -266,7 +289,7 @@ def test_one_range_runs_on_the_calling_thread(cpus):
 
 def test_one_cpu_runs_every_range_on_the_calling_thread(cpus):
     cpus(1)
-    calls = _record(20 * 1308, 200)
+    calls = _record(20 * STEP_200, 200)
     assert len(calls) == 20
     assert {call[2] for call in calls} == {threading.get_ident()}
 
@@ -274,7 +297,7 @@ def test_one_cpu_runs_every_range_on_the_calling_thread(cpus):
 def test_without_an_affinity_mask_the_cpu_count_decides(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    calls = _record(20 * 1308, 200)
+    calls = _record(20 * STEP_200, 200)
     assert {call[2] for call in calls} == {threading.get_ident()}
 
 
@@ -289,7 +312,7 @@ def test_threads_never_outnumber_ranges_or_cpus(cpus, monkeypatch, cpu_count, ra
             super().start()
 
     monkeypatch.setattr(threading, "Thread", CountingThread)
-    calls = _record(ranges * 1308, 200)
+    calls = _record(ranges * STEP_200, 200)
     assert len(calls) == ranges
     assert len(started) == min(cpu_count, ranges) - 1  # the calling thread is the last one
     assert len({call[2] for call in calls}) <= min(cpu_count, ranges)
@@ -301,11 +324,11 @@ def test_an_exception_in_one_range_reaches_the_caller_after_every_join(cpus):
     before = threading.active_count()
 
     def fill(start, stop):
-        if start == 3 * 1308:
+        if start == 3 * STEP_200:
             raise FloatingPointError(f"rows {start}:{stop}")
 
-    with pytest.raises(FloatingPointError, match="rows 3924:5232"):
-        _for_row_blocks(40 * 1308, 200, fill)
+    with pytest.raises(FloatingPointError, match=f"rows {3 * STEP_200}:{4 * STEP_200}"):
+        _for_row_blocks(40 * STEP_200, 200, fill)
     assert threading.active_count() == before
 
 
@@ -332,7 +355,7 @@ def test_normal_windows_start_on_a_philox_step():
     # The generator advances by whole counter steps of four draws: a window that
     # started between them would silently repeat the draws before it.
     assert lab._normals(5, 3, 4, 4).tobytes() == lab._normals(5, 3, 0, 8)[4:].tobytes()
-    for start in (1, 2, 3, 5, 4 * 1308 * 200 + 2):
+    for start in (1, 2, 3, 5, 4 * STEP_200 * 200 + 2):
         with pytest.raises(ValueError, match="multiple of 4"):
             lab._normals(5, 3, start, 4)
 

@@ -140,10 +140,10 @@ def frozen_mc_checks(dim, n, seed):
     nu, mu = _pair(dim)
     data = _pair_of(nu, mu, None)
     frame = data._rn_frame
+    z = frozen_standard_normal(seed, STREAM_SAMPLE, (int(n), dim))
     log_rn = {}
     for m in (nu, mu):
-        root = operators._spectral_sqrt(m.spectrum).entries
-        x_hat = frozen_standard_normal(seed, STREAM_SAMPLE, (int(n), dim)) @ (root @ frame)
+        x_hat = z @ (operators._spectral_sqrt(m.spectrum).entries @ frame)
         if m is nu:
             x_hat += data.mean_diff @ frame
         log_rn[m] = frozen_log_rn_of_whitened(x_hat, data)

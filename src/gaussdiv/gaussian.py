@@ -533,14 +533,15 @@ def log_radon_nikodym_batch(
         np.subtract(points[start:stop], mu.mean, out=spare), frame, out=scratch))
 
 
-def _log_rn_pass(pair: GaussianPair, rows: int, whiten, operands=()) -> np.ndarray:
+def _log_rn_pass(pair: GaussianPair, rows: int, whiten) -> np.ndarray:
     """The log density ratio of ``rows`` points, computed one row block at a time.
 
     ``whiten(start, stop, spare, scratch)`` returns rows ``start`` to ``stop`` of the points
     whitened, ``(x - m_mu) L^{-T} V``, in ``scratch`` and may use ``spare``, both arrays of
-    the calling thread's own.  The coefficients, then ``operands`` (what ``whiten`` multiplies
-    by), are checked before any row is computed; a coefficient, an operand or a value that
-    overflows a double raises :class:`~gaussdiv.errors.NonFinite`, with no numpy warning.
+    the calling thread's own.  The coefficients are checked before any row is computed; a
+    coefficient or a value that overflows a double raises
+    :class:`~gaussdiv.errors.NonFinite`, with no numpy warning.  A non-finite entry in what
+    ``whiten`` multiplies by makes its rows' values non-finite, so the last test catches it.
     """
     a = pair.s_spectrum.eigenvalues
     one_minus = 1.0 - a
@@ -548,7 +549,7 @@ def _log_rn_pass(pair: GaussianPair, rows: int, whiten, operands=()) -> np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         const = -0.5 * float(np.sum(np.log1p(-a))) - 0.5 * float(np.sum(d_hat * d_hat / one_minus))
         weights, pull = a / one_minus, d_hat / one_minus
-    if not (math.isfinite(const) and all(np.all(np.isfinite(v)) for v in (weights, pull, *operands))):
+    if not (math.isfinite(const) and np.all(np.isfinite(weights)) and np.all(np.isfinite(pull))):
         raise NonFinite("the log density ratio does not fit in a double")
     out = np.empty(rows)
 

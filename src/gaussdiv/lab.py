@@ -233,8 +233,7 @@ def _sampled_log_rn(measure: GaussianMeasure, nu: GaussianMeasure, mu: GaussianM
     with np.errstate(over="ignore", invalid="ignore"):
         t_mat = root @ pair._rn_frame
         offset = None if measure is mu else pair.mean_diff @ pair._rn_frame
-    return _log_rn_pass(pair, n, functools.partial(_sample_rows, seed, t_mat, offset),
-                        (t_mat,) if offset is None else (t_mat, offset))
+    return _log_rn_pass(pair, n, functools.partial(_sample_rows, seed, t_mat, offset))
 
 
 def mc_kl_check(

@@ -37,10 +37,10 @@ from .errors import (
 )
 
 
-# float64 values per row block of the Monte-Carlo passes, 512 kB: a block is
-# drawn, whitened and evaluated in one pass over its thread's two buffers, which
-# both stay in a 2 MB L2 cache (2 MB blocks made a dim-200 pass 10% slower).
-_BLOCK_VALUES = 1 << 16
+# float64 values per row block of the Monte-Carlo passes, 2 MB: a block is
+# drawn, whitened and evaluated in one pass over its thread's own buffers,
+# so its normals and whitened rows stay in a core's cache.
+_BLOCK_VALUES = 1 << 18
 
 # The package's numerical thresholds, the same for every call.
 # Eigenvalues in (-PSD_CLIP, 0) count as zero; below is an error.

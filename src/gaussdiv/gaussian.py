@@ -528,20 +528,21 @@ def log_radon_nikodym_batch(
         raise DimMismatch(f"points have dim {points.shape[1]}, measures have dim {mu.dim}")
     if not np.all(np.isfinite(points)):
         raise NonFinite("points contain NaN or Inf")
-    frame = data._rn_frame
-    return _log_rn_pass(data, points.shape[0], lambda start, stop, spare, scratch: np.matmul(
-        np.subtract(points[start:stop], mu.mean, out=spare), frame, out=scratch))
+    return _log_rn_pass(data, points.shape[0], lambda start, stop, spare: np.subtract(
+        points[start:stop], mu.mean, out=spare), ((data._rn_frame, None),))[0]
 
 
-def _log_rn_pass(pair: GaussianPair, rows: int, whiten) -> np.ndarray:
-    """The log density ratio of ``rows`` points, computed one row block at a time.
+def _log_rn_pass(pair: GaussianPair, rows: int, source, whitenings) -> tuple[np.ndarray, ...]:
+    """The log density ratio of ``rows`` points under each whitening, one row block at a time.
 
-    ``whiten(start, stop, spare, scratch)`` returns rows ``start`` to ``stop`` of the points
-    whitened, ``(x - m_mu) L^{-T} V``, in ``scratch`` and may use ``spare``, both arrays of
-    the calling thread's own.  The coefficients are checked before any row is computed; a
-    coefficient or a value that overflows a double raises
-    :class:`~gaussdiv.errors.NonFinite`, with no numpy warning.  A non-finite entry in what
-    ``whiten`` multiplies by makes its rows' values non-finite, so the last test catches it.
+    ``source(start, stop, spare)`` writes the block's rows into ``spare``, an array of the
+    calling thread's own, and each ``(matrix, offset)`` of ``whitenings`` whitens them, to
+    ``(x - m_mu) L^{-T} V``, as ``spare matrix + offset`` (no add for ``None``) in the
+    thread's ``scratch``; ``spare`` holds the rows until the block's last whitening.  The
+    coefficients are checked before any row is computed; a coefficient or a value that
+    overflows a double raises :class:`~gaussdiv.errors.NonFinite`, with no numpy warning.
+    A non-finite entry in a whitening makes its rows' values non-finite, so the last test
+    catches it.
     """
     a = pair.s_spectrum.eigenvalues
     one_minus = 1.0 - a
@@ -551,20 +552,25 @@ def _log_rn_pass(pair: GaussianPair, rows: int, whiten) -> np.ndarray:
         weights, pull = a / one_minus, d_hat / one_minus
     if not (math.isfinite(const) and np.all(np.isfinite(weights)) and np.all(np.isfinite(pull))):
         raise NonFinite("the log density ratio does not fit in a double")
-    out = np.empty(rows)
+    outs = tuple(np.empty(rows) for _ in whitenings)
 
     def fill(start: int, stop: int, spare: np.ndarray, scratch: np.ndarray) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
-            x_hat = whiten(start, stop, spare, scratch)
-            terms = np.multiply(x_hat, x_hat, out=spare)
-            terms *= -0.5
-            value = np.add(const, terms @ weights, out=out[start:stop])
-            value += x_hat @ pull
+            drawn = source(start, stop, spare)
+            for (matrix, offset), out in zip(whitenings, outs):
+                x_hat = np.matmul(drawn, matrix, out=scratch)
+                if offset is not None:
+                    x_hat += offset
+                cross = x_hat @ pull
+                terms = np.multiply(x_hat, x_hat, out=x_hat)
+                terms *= -0.5
+                value = np.add(const, terms @ weights, out=out[start:stop])
+                value += cross
 
     _for_row_blocks(rows, pair.mu.dim, fill, buffers=2)
-    if not np.all(np.isfinite(out)):
+    if not all(np.all(np.isfinite(out)) for out in outs):
         raise NonFinite("the log density ratio does not fit in a double")
-    return out
+    return outs
 
 
 def log_radon_nikodym(

@@ -19,7 +19,10 @@ one BLAS thread it equals, byte for byte, the matrix of one serial pass.  The
 Monte-Carlo checks never build that matrix: a sample row ``z C^{1/2} + m`` whitens
 to ``z T + b``, so each block's normals take one product by ``T`` and the log density
 ratio's row evaluation in the thread's own buffers, in O(n) memory; their values are
-those of the two public calls in a row to 1e-12 relative, not byte for byte.
+those of the two public calls in a row to 1e-12 relative, not byte for byte.  One draw
+can serve several measures: ``rn-check`` whitens each block's normals once for ``nu``
+and once for ``mu``, so its two checks equal :func:`mc_kl_check` and
+:func:`mc_rn_normalization` at the same seed, byte for byte.
 """
 
 from __future__ import annotations
@@ -183,16 +186,12 @@ def _sample_count(n) -> int:
     return int(n)
 
 
-def _sample_rows(seed: int, root: np.ndarray, mean: np.ndarray | None, start: int, stop: int,
-                 z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Rows ``start`` to ``stop`` of ``z root + mean`` (no add for ``None``), written into ``out``;
-    ``z``, of ``out``'s shape and C-contiguous, takes the rows' normals."""
-    dim = out.shape[1]
+def _draw_rows(seed: int, start: int, stop: int, z: np.ndarray) -> np.ndarray:
+    """Rows ``start`` to ``stop`` of the sample normals, written into ``z``: C-contiguous,
+    ``stop - start`` rows of the sample's width."""
+    dim = z.shape[1]
     _normals(seed, STREAM_SAMPLE, start * dim, (stop - start) * dim, out=z.reshape(-1))
-    np.matmul(z, root, out=out)
-    if mean is not None:
-        out += mean
-    return out
+    return z
 
 
 def sample_gaussian(measure: GaussianMeasure, n: int, seed: int) -> np.ndarray:
@@ -202,7 +201,8 @@ def sample_gaussian(measure: GaussianMeasure, n: int, seed: int) -> np.ndarray:
     samples = np.empty((n, measure.dim))
 
     def fill(start: int, stop: int, z: np.ndarray) -> None:
-        _sample_rows(seed, root, measure.mean, start, stop, z, samples[start:stop])
+        rows = np.matmul(_draw_rows(seed, start, stop, z), root, out=samples[start:stop])
+        rows += measure.mean
 
     _for_row_blocks(n, measure.dim, fill, buffers=1)
     return samples
@@ -220,20 +220,23 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
-def _sampled_log_rn(measure: GaussianMeasure, nu: GaussianMeasure, mu: GaussianMeasure,
-                    n: int, seed: int, data: GaussianPair | None) -> np.ndarray:
+def _sampled_log_rn(measures: tuple[GaussianMeasure, ...], nu: GaussianMeasure,
+                    mu: GaussianMeasure, n: int, seed: int,
+                    data: GaussianPair | None) -> tuple[np.ndarray, ...]:
     """``log_radon_nikodym_batch(sample_gaussian(measure, n, seed), nu, mu, data=data)`` to
-    1e-12 in O(n) memory: a sample row ``z C^{1/2} + m`` whitens to ``z T + b``, with
-    ``T = C^{1/2} L^{-T} V`` and ``b = (m - m_mu) L^{-T} V`` (0 for ``mu``, so not added)."""
+    1e-12 for each of ``measures``, in O(n) memory and from one draw of normals ``z``: a
+    sample row ``z C^{1/2} + m`` whitens to ``z T + b``, with ``T = C^{1/2} L^{-T} V`` and
+    ``b = (m - m_mu) L^{-T} V`` (0 for ``mu``, so not added)."""
     n = _sample_count(n)
-    root = _spectral_sqrt(measure.spectrum).entries
+    roots = [_spectral_sqrt(measure.spectrum).entries for measure in measures]
     pair = _pair_of(nu, mu, data)
     if pair.singular:
         raise SingularPair("measures are mutually singular")
     with np.errstate(over="ignore", invalid="ignore"):
-        t_mat = root @ pair._rn_frame
-        offset = None if measure is mu else pair.mean_diff @ pair._rn_frame
-    return _log_rn_pass(pair, n, functools.partial(_sample_rows, seed, t_mat, offset))
+        frame = pair._rn_frame
+        whitenings = tuple((root @ frame, None if measure is mu else pair.mean_diff @ frame)
+                           for measure, root in zip(measures, roots))
+    return _log_rn_pass(pair, n, functools.partial(_draw_rows, seed), whitenings)
 
 
 def mc_kl_check(
@@ -250,7 +253,7 @@ def mc_kl_check(
     errors of :func:`~gaussdiv.gaussian.exact_kl`.  ``data``, the
     :class:`~gaussdiv.gaussian.GaussianPair` ``(nu, mu)``, lends its whitening.
     """
-    return _mean_stderr(_sampled_log_rn(nu, nu, mu, n, seed, data))
+    return _mean_stderr(_sampled_log_rn((nu,), nu, mu, n, seed, data)[0])
 
 
 def mc_rn_normalization(
@@ -262,7 +265,7 @@ def mc_rn_normalization(
     data: GaussianPair | None = None,
 ) -> tuple[float, float]:
     """mu-mean of exp(log density ratio); the exact value is 1 (total mass of nu)."""
-    return _mean_stderr(np.exp(_sampled_log_rn(mu, nu, mu, n, seed, data)))
+    return _mean_stderr(np.exp(_sampled_log_rn((mu,), nu, mu, n, seed, data)[0]))
 
 
 def gauss_exp_quadratic(

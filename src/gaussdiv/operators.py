@@ -47,7 +47,7 @@ _BLOCK_VALUES = 1 << 18
 PSD_CLIP = 1e-12
 # How close an eigenvalue may get to a positivity boundary before the operator is singular.
 SINGULAR_MARGIN = 1e-10
-# Allowed asymmetry of a symmetric matrix, relative to 1 + its largest entry.
+# Allowed asymmetry of a symmetric matrix, relative to its largest entry.
 _SYM_TOL = 1e-10
 # Allowed imaginary part of the real spectrum of a product of symmetric operators.
 _EIG_TOL = 1e-9
@@ -69,18 +69,17 @@ def _as_square_matrix(entries, *, what: str) -> np.ndarray:
 
 
 def _is_symmetric(m: np.ndarray) -> bool:
-    """Asymmetry within ``_SYM_TOL * (1 + max|entries|)``."""
+    """Asymmetry within ``_SYM_TOL * max|entries|``, so the same at every scale."""
     if m.size == 0:
         return True
-    scale = 1.0 + float(np.max(np.abs(m)))
-    return float(np.max(np.abs(m - m.T))) <= _SYM_TOL * scale
+    return float(np.max(np.abs(m - m.T))) <= _SYM_TOL * float(np.max(np.abs(m)))
 
 
 class TraceClassBlock:
     """Symmetric dim x dim matrix standing for a finite-rank trace-class operator.
 
     Entries are symmetrized exactly on construction; input asymmetric beyond
-    ``_SYM_TOL * (1 + max|entries|)`` is rejected.
+    ``_SYM_TOL * max|entries|`` is rejected.
     """
 
     __slots__ = ("entries",)

@@ -113,6 +113,15 @@ def renyi_closed(m1, c1, m2, c2, r):
     return quad + (ldb - (1.0 - r) * ld1 - r * ld2) / (2.0 * r * (1.0 - r))
 
 
+def rn_moment(nu, mu, k):
+    """``E_mu[(dnu/dmu)^k] = integral p^k q^(1-k)``, which is ``exp(k (k-1) D_k)`` with
+    ``D_k`` of :func:`renyi_closed` at the order ``k > 1``.  It is finite only where
+    ``k C_mu - (k-1) C_nu`` is positive definite, which the Cholesky factor checks."""
+    np.linalg.cholesky(k * mu.cov.entries - (k - 1) * nu.cov.entries)
+    d_k = renyi_closed(nu.mean, nu.cov.entries, mu.mean, mu.cov.entries, k)
+    return float(np.exp(k * (k - 1) * d_k))
+
+
 def bhatt_closed(m1, c1, m2, c2):
     """Bhattacharyya distance via the averaged covariance."""
     dm = np.asarray(m1, dtype=float) - np.asarray(m2, dtype=float)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gaussdiv as gd
-from gaussdiv.cli import _load_json, build_parser, main
+from gaussdiv.cli import _fmt, _load_json, build_parser, main
 from oracles import far_pair, overflowing_mean_pair, rounded_zero_pair
 
 
@@ -267,6 +267,22 @@ class TestRnCheck:
         nu_path, mu_path, _, _ = pair_files
         assert main(["rn-check", "--n", "20000", "--seed", "7",
                      "--nu", nu_path, "--mu", mu_path]) == 0
+
+    @pytest.mark.parametrize("seed, explicit", [(42, False), (7, True), (2**64 - 1, True)])
+    def test_both_checks_equal_the_library_checks_at_the_seed(self, pair_files, capsys, seed,
+                                                              explicit):
+        # One draw of normals serves both checks, so each equals its library call at --seed;
+        # 200000 rows of dim 5 make three row blocks.
+        nu_path, mu_path, nu, mu = pair_files
+        files = ["--nu", nu_path, "--mu", mu_path] if explicit else []
+        if not explicit:
+            nu, mu = gd.default_rn_pair(seed)
+        assert main(["rn-check", "--n", "200000", "--seed", str(seed), *files]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        kl, kl_stderr = gd.mc_kl_check(nu, mu, 200_000, seed)
+        norm, norm_stderr = gd.mc_rn_normalization(nu, mu, 200_000, seed)
+        assert lines[2:4] == [f"kl_mc={_fmt(kl)}", f"kl_mc_stderr={_fmt(kl_stderr)}"]
+        assert lines[5:7] == [f"rn_norm_mc={_fmt(norm)}", f"rn_norm_stderr={_fmt(norm_stderr)}"]
 
     def test_one_sample_is_a_validation_error(self, capsys):
         # One sample gives no standard error, so no gate can pass on it.

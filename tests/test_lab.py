@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 import gaussdiv as gd
 from gaussdiv import lab
 from gaussdiv.lab import STREAM_MEAN, STREAM_ORTHO, STREAM_SAMPLE
-from oracles import log_rn_cumulants, perturbed_pair
+from oracles import log_rn_cumulants, perturbed_pair, rn_moment
 
 
 class TestSeeding:
@@ -245,6 +245,45 @@ class TestMonteCarloKL:
         band = 5.0 * math.sqrt(kappa4 / (n * var * var) + 2.0 / (n - 1))
         for seed in range(5):
             _, stderr = gd.mc_kl_check(nu, mu, n, seed, data=pair)
+            assert abs(n * stderr**2 / var - 1.0) <= band, (seed, n * stderr**2 / var, band)
+
+
+    def test_the_rn_moments_match_the_dense_integral(self):
+        # rn_moment's closed form against integral p^k q^(1-k) over the plane, by the
+        # trapezoid rule on [-40, 40]^2, which converges faster than any power of the
+        # spacing for a Gaussian integrand; every integrand here has sd under 1.
+        nu, mu = perturbed_pair(np.random.default_rng(2), 2, s_radius=0.25)
+        axis = np.linspace(-40.0, 40.0, 801)
+        points = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+
+        def log_density(m):
+            centered = points - m.mean
+            quad = np.sum(centered * np.linalg.solve(m.cov.entries, centered.T).T, axis=1)
+            log_det = math.log(np.linalg.det(m.cov.entries))
+            return -0.5 * (quad + log_det + 2.0 * math.log(2.0 * math.pi))
+
+        log_p, log_q = log_density(nu), log_density(mu)
+        for k in (2, 3, 4):
+            dense = float(np.sum(np.exp(k * log_p - (k - 1) * log_q))) * (axis[1] - axis[0]) ** 2
+            assert rn_moment(nu, mu, k) == pytest.approx(dense, rel=1e-12), k
+
+    @pytest.mark.parametrize("dim", [5, 40, 200])
+    def test_the_normalization_standard_error_matches_the_closed_form_moments(self, dim):
+        # n stderr^2 is the sample variance s^2 of n draws of R = dnu/dmu under mu,
+        # whose variance is sigma^2 = E R^2 - 1 = exp(2 D_2) - 1 and whose central
+        # fourth moment is m4 = E R^4 - 4 E R^3 + 6 E R^2 - 3.  For iid draws
+        # Var(s^2) = m4 / n - sigma^4 (n - 3) / (n (n - 1)), so the ratio s^2 / sigma^2
+        # has that over sigma^4 as its variance, a standard deviation of 0.02-0.03 here.
+        # S within 0.6 / sqrt(dim) and a mean shift of 0.5 / sqrt(dim) a coordinate keep
+        # E R^4 finite (every eigenvalue of S above -1/3) and sigma^2 near 0.1-0.4.
+        nu, mu = perturbed_pair(np.random.default_rng(dim), dim, s_radius=0.6 / math.sqrt(dim),
+                                mean_scale=0.5 / math.sqrt(dim))
+        second, third, fourth = (rn_moment(nu, mu, k) for k in (2, 3, 4))
+        var, m4 = second - 1.0, fourth - 4.0 * third + 6.0 * second - 3.0
+        pair, n = gd.GaussianPair(nu, mu), 20_000
+        band = 5.0 * math.sqrt(m4 / (n * var * var) - (n - 3) / (n * (n - 1)))
+        for seed in range(5):
+            _, stderr = gd.mc_rn_normalization(nu, mu, n, seed, data=pair)
             assert abs(n * stderr**2 / var - 1.0) <= band, (seed, n * stderr**2 / var, band)
 
 

@@ -32,6 +32,15 @@ class TestTraceClassBlock:
         with pytest.raises(ValueError):
             gd.TraceClassBlock([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_symmetry_tolerance_is_relative_to_the_largest_entry(self):
+        # An absolute tolerance would take this for diag(1e-11, 1e-11).
+        with pytest.raises(ValueError, match="not symmetric"):
+            gd.TraceClassBlock(1e-11 * np.array([[1.0, 0.9], [-0.9, 1.0]]))
+        for scale in (1e-300, 1e-11, 1.0, 1e11, 1e300):
+            m = scale * np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
+            assert_allclose(gd.TraceClassBlock(m).entries, 0.5 * (m + m.T), rtol=0, atol=0)
+        assert not gd.TraceClassBlock(np.zeros((3, 3))).entries.any()
+
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
             gd.TraceClassBlock(np.zeros((2, 3)))

@@ -6,8 +6,10 @@ draws its own window of the normal sequence (``lab._normals``).
 ``mc_kl_check`` and ``mc_rn_normalization`` draw and whiten each block in one
 pass, with no sample matrix: a row ``z C^{1/2} + m`` becomes ``z T + b`` by one
 matrix product, ``T = C^{1/2} L^{-T} V`` and ``b = (m - m_mu) L^{-T} V`` (not
-added for ``mu``).  They must equal the mean and standard error of the frozen
-log density ratio of the frozen normals whitened that way, equal the two
+added for ``mu``).  ``rn-check`` runs both in one pass, which whitens each
+block's one draw for ``nu`` and for ``mu``.  They must equal the mean and
+standard error of the frozen log density ratio of the frozen normals whitened
+that way, the one pass included, equal the two
 public calls in a row (``log_radon_nikodym_batch`` of ``sample_gaussian``) to
 1e-12 relative, repeat byte for byte under thread-switching stress, and peak
 less than 1 MB higher for 40000 samples at dim 200 than for 20000 (the matrix
@@ -164,6 +166,14 @@ def _sample_and_rn(dim, n, seed):
         kl, norm = frozen_mc_checks(dim, n, seed)
         yield "mc_kl_check", np.array(gd.mc_kl_check(nu, mu, n, seed)), np.array(kl)
         yield "mc_rn_normalization", np.array(gd.mc_rn_normalization(nu, mu, n, seed)), np.array(norm)
+        yield "shared pass", np.array(shared_mc_checks(nu, mu, n, seed)), np.array((kl, norm))
+
+
+def shared_mc_checks(nu, mu, n, seed, data=None):
+    """Both Monte-Carlo checks from one pass that whitens each block's one draw for ``nu``
+    and for ``mu``, as ``rn-check`` runs them."""
+    log_nu, log_mu = lab._sampled_log_rn((nu, mu), nu, mu, n, seed, data)
+    return lab._mean_stderr(log_nu), lab._mean_stderr(np.exp(log_mu))
 
 
 def pinned_mismatches() -> list[str]:
@@ -374,8 +384,9 @@ def test_monte_carlo_checks_repeat_byte_for_byte_under_thread_switching_stress(c
     pair = gd.GaussianPair(nu, mu)
 
     def checks():
-        return np.array(gd.mc_kl_check(nu, mu, 20_011, 9, data=pair)
-                        + gd.mc_rn_normalization(nu, mu, 20_011, 9, data=pair)).tobytes()
+        return np.array([gd.mc_kl_check(nu, mu, 20_011, 9, data=pair),
+                         gd.mc_rn_normalization(nu, mu, 20_011, 9, data=pair),
+                         *shared_mc_checks(nu, mu, 20_011, 9, data=pair)]).tobytes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -391,16 +402,21 @@ def test_monte_carlo_checks_repeat_byte_for_byte_under_thread_switching_stress(c
 def test_monte_carlo_memory_does_not_grow_with_the_sample_matrix(cpus, cpu_count):
     # At dim 200 another 20000 samples are 32 MB as a matrix and 160 kB as log
     # density ratios; each worker's buffers have room for any range of the width.
+    # The shared pass keeps the same two buffers a worker (4.2 MB each here) for both
+    # whitenings, so it peaks within 2 MB of one check: its second measure adds a root
+    # and a T (320 kB each) and a log ratio and its exp (160 kB each).
     cpus(cpu_count)
     nu, mu = _pair(200)
     pair = gd.GaussianPair(nu, mu)
-    gd.mc_kl_check(nu, mu, 100, 1, data=pair)  # fills the pair's caches
     peaks = {}
-    for n in (20_000, 40_000):
-        tracemalloc.start()
-        try:
-            gd.mc_kl_check(nu, mu, n, 1, data=pair)
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[40_000] - peaks[20_000] < 1 << 20
+    for check in (gd.mc_kl_check, shared_mc_checks):
+        check(nu, mu, 100, 1, data=pair)  # fills the pair's caches
+        for n in (20_000, 40_000):
+            tracemalloc.start()
+            try:
+                check(nu, mu, n, 1, data=pair)
+                peaks[check, n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[check, 40_000] - peaks[check, 20_000] < 1 << 20, check
+    assert peaks[shared_mc_checks, 20_000] - peaks[gd.mc_kl_check, 20_000] < 2 << 20

@@ -127,7 +127,7 @@ def _cmd_rn_check(args) -> int:
     log_nu, log_mu = _sampled_log_rn((nu, mu), nu, mu, args.n, args.seed, pair)
     estimate, stderr = _mean_stderr(log_nu)
     kl_ok = abs(estimate - exact) <= 4.0 * stderr
-    norm, norm_stderr = _mean_stderr(np.exp(log_mu))
+    norm, norm_stderr = _mean_stderr(np.exp(log_mu, out=log_mu))
     norm_ok = abs(norm - 1.0) <= 4.0 * norm_stderr
     print(f"kl_exact={_fmt(exact)}")
     print(f"kl_mc={_fmt(estimate)}")

@@ -236,6 +236,7 @@ def _sampled_log_rn(measures: tuple[GaussianMeasure, ...], nu: GaussianMeasure,
         frame = pair._rn_frame
         whitenings = tuple((root @ frame, None if measure is mu else pair.mean_diff @ frame)
                            for measure, root in zip(measures, roots))
+    del roots  # the pass holds each T, not the roots: a second measure costs no more memory
     return _log_rn_pass(pair, n, functools.partial(_draw_rows, seed), whitenings)
 
 

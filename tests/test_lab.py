@@ -247,7 +247,6 @@ class TestMonteCarloKL:
             _, stderr = gd.mc_kl_check(nu, mu, n, seed, data=pair)
             assert abs(n * stderr**2 / var - 1.0) <= band, (seed, n * stderr**2 / var, band)
 
-
     def test_the_rn_moments_match_the_dense_integral(self):
         # rn_moment's closed form against integral p^k q^(1-k) over the plane, by the
         # trapezoid rule on [-40, 40]^2, which converges faster than any power of the
@@ -275,7 +274,7 @@ class TestMonteCarloKL:
         # Var(s^2) = m4 / n - sigma^4 (n - 3) / (n (n - 1)), so the ratio s^2 / sigma^2
         # has that over sigma^4 as its variance, a standard deviation of 0.02-0.03 here.
         # S within 0.6 / sqrt(dim) and a mean shift of 0.5 / sqrt(dim) a coordinate keep
-        # E R^4 finite (every eigenvalue of S above -1/3) and sigma^2 near 0.1-0.4.
+        # E R^4 finite (every eigenvalue of S above -1/3) and sigma^2 at 0.08-0.43.
         nu, mu = perturbed_pair(np.random.default_rng(dim), dim, s_radius=0.6 / math.sqrt(dim),
                                 mean_scale=0.5 / math.sqrt(dim))
         second, third, fourth = (rn_moment(nu, mu, k) for k in (2, 3, 4))

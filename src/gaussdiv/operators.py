@@ -17,11 +17,14 @@ determinant product property.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
 import sys
 import threading
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -37,10 +40,25 @@ from .errors import (
 )
 
 
-# float64 values per row block of the Monte-Carlo passes, 2 MB: a block is
-# drawn, whitened and evaluated in one pass over its thread's own buffers,
-# so its normals and whitened rows stay in a core's cache.
-_BLOCK_VALUES = 1 << 18
+def _l2_block_values(cpus: str = "/sys/devices/system/cpu") -> int:
+    """float64 values per row block of the Monte-Carlo passes: a 32nd of the L2 cache that
+    Linux reports for the first CPU of the affinity mask, so that the block in each of a
+    worker's two buffers fills a quarter of it, clamped to ``[2**14, 2**18]``; ``2**18``
+    (2 MB) wherever that size cannot be read."""
+    try:
+        for index in sorted(Path(cpus, f"cpu{min(os.sched_getaffinity(0))}", "cache").glob("index*")):
+            level, kind, size = ((index / name).read_text().strip() for name in ("level", "type", "size"))
+            if level == "2" and kind in ("Unified", "Data"):
+                l2 = int(size[:-1]) * {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}[size[-1]]
+                return min(max(l2 // 32, 1 << 14), 1 << 18)
+    except (AttributeError, OSError, ValueError, KeyError, IndexError):
+        pass
+    return 1 << 18
+
+
+# A block is drawn, whitened and evaluated in one pass over its thread's own
+# buffers, so its normals and whitened rows stay in the core's L2 cache.
+_BLOCK_VALUES = _l2_block_values()
 
 # The package's numerical thresholds, the same for every call.
 # Eigenvalues in (-PSD_CLIP, 0) count as zero; below is an error.
@@ -400,28 +418,72 @@ def _warn_ill_conditioned(ill: bool) -> None:
         )
 
 
+@functools.cache
+def _openblas_set_threads():
+    """``openblas_set_num_threads_local`` of numpy's OpenBLAS (0.3.27 on), which returns the
+    count it replaces, or None where it is missing.  Looked up at the first pass."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            set_threads = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
+        return set_threads
+    return None
+
+
+# How many passes run now, and numpy's OpenBLAS thread count from before the first of them.
+_BLAS_LOCK, _blas_passes = threading.Lock(), [0, 0]
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on one thread.  In its pthreads builds, the ones numpy ships, that
+    count is the process's: the first pass running sets it and the last one restores it."""
+    set_threads = _openblas_set_threads() or (lambda count: count)
+    with _BLAS_LOCK:
+        if not _blas_passes[0]:
+            _blas_passes[1] = set_threads(1)
+        _blas_passes[0] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_passes[0] -= 1
+            if not _blas_passes[0]:
+                set_threads(_blas_passes[1])
+
+
 def _for_row_blocks(rows: int, width: int, fill, buffers: int = 0) -> None:
     """Call ``fill(start, stop, *scratch)`` over consecutive row ranges covering ``range(rows)``.
 
     It serves sampling (``lab.sample_gaussian``, ``z C^{1/2}``) and the log
     density ratio (``gaussian._log_rn_pass``) of given rows, ``(x - m) L^{-T} V``,
     or of normals whitened by one product, ``z T``.  A range holds a multiple of
-    12 rows, about ``_BLOCK_VALUES`` values of ``width`` each, and the last range
-    takes the remainder.  With one BLAS thread, every row of a range's matmul
-    then rounds as in one call over all rows: 12 is a multiple of Philox's four
-    words per step and of the row panels of OpenBLAS's AVX-512 dgemm, and a
-    split job has no short range, which BLAS would multiply with its
-    small-matrix or one-row kernels.  The ranges run on up to one thread per
-    CPU of the process, the calling thread among them; with one range or one
-    CPU it runs them all, in order.  numpy ufuncs, Philox and BLAS release the
-    GIL.  Each thread owns ``buffers`` float64 arrays, made on the calling
-    thread before any range runs and never handed to another thread;
-    ``scratch`` is their first ``stop - start`` rows.  They have room for the
-    longest range of any job of this width, so their size does not grow with
-    ``rows``.  Every thread is joined before the first exception of ``fill``
-    propagates.  ``fill`` writes disjoint rows and calls no traced entry
-    point: no public ``gaussdiv`` function and no ``numpy.linalg`` or
-    ``scipy.linalg`` one.
+    12 rows, about ``_BLOCK_VALUES`` values of ``width`` each (a 32nd of the L2
+    cache, clamped to ``[2**14, 2**18]``; ``2**18`` where Linux does not report
+    it), and the last range takes the remainder.  With one BLAS thread, every
+    row of a range's matmul then rounds as in one call over all rows: 12 is a
+    multiple of Philox's four words per step and of the row panels of
+    OpenBLAS's AVX-512 dgemm, and a split job has no short range, which BLAS
+    would multiply with its small-matrix or one-row kernels.  The ranges run on
+    up to one thread per CPU of the process, the calling thread among them;
+    with one range or one CPU it runs them all, in order.  numpy ufuncs, Philox
+    and BLAS release the GIL.  Every range runs with numpy's OpenBLAS on one
+    thread, so the block threads start no BLAS threads of their own; the count
+    from before is restored when the last pass running ends, and where numpy's
+    BLAS has no ``openblas_set_num_threads_local`` it is left alone.  Each
+    thread owns ``buffers`` float64 arrays, made on the calling thread before
+    any range runs and never handed to another thread; ``scratch`` is their
+    first ``stop - start`` rows.  They have room for the longest range of any
+    job of this width, so their size does not grow with ``rows``.  Every
+    thread is joined before the first exception of ``fill`` propagates.
+    ``fill`` writes disjoint rows and calls no traced entry point: no public
+    ``gaussdiv`` function and no ``numpy.linalg`` or ``scipy.linalg`` one.
     """
     step = max(12, _BLOCK_VALUES // max(width, 1) // 12 * 12)
     count = max(rows // step, 1 if rows else 0)
@@ -448,12 +510,13 @@ def _for_row_blocks(rows: int, width: int, fill, buffers: int = 0) -> None:
                 errors.append(exc)
 
     threads = [threading.Thread(target=work, args=(scratch,)) for scratch in owned[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        work(owned[0])
-    finally:
+    with _one_blas_thread():
         for thread in threads:
-            thread.join()
+            thread.start()
+        try:
+            work(owned[0])
+        finally:
+            for thread in threads:
+                thread.join()
     if errors:
         raise errors[0]

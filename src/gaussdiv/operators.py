@@ -46,8 +46,10 @@ def _l2_block_values(cpus: str = "/sys/devices/system/cpu") -> int:
     worker's two buffers fills a quarter of it, clamped to ``[2**14, 2**18]``; ``2**18``
     (2 MB) wherever that size cannot be read."""
     try:
-        for index in sorted(Path(cpus, f"cpu{min(os.sched_getaffinity(0))}", "cache").glob("index*")):
-            level, kind, size = ((index / name).read_text().strip() for name in ("level", "type", "size"))
+        cache = Path(cpus, f"cpu{min(os.sched_getaffinity(0))}", "cache")
+        for index in sorted(cache.glob("index*")):
+            level, kind, size = [(index / name).read_text().strip()
+                                 for name in ("level", "type", "size")]
             if level == "2" and kind in ("Unified", "Data"):
                 l2 = int(size[:-1]) * {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}[size[-1]]
                 return min(max(l2 // 32, 1 << 14), 1 << 18)
@@ -437,7 +439,7 @@ def _openblas_set_threads():
 
 
 # How many passes run now, and numpy's OpenBLAS thread count from before the first of them.
-_BLAS_LOCK, _blas_passes = threading.Lock(), [0, 0]
+_BLAS_LOCK, _blas_passes = threading.Lock(), {"running": 0, "threads_before": 0}
 
 
 @contextlib.contextmanager
@@ -446,16 +448,16 @@ def _one_blas_thread():
     count is the process's: the first pass running sets it and the last one restores it."""
     set_threads = _openblas_set_threads() or (lambda count: count)
     with _BLAS_LOCK:
-        if not _blas_passes[0]:
-            _blas_passes[1] = set_threads(1)
-        _blas_passes[0] += 1
+        if not _blas_passes["running"]:
+            _blas_passes["threads_before"] = set_threads(1)
+        _blas_passes["running"] += 1
     try:
         yield
     finally:
         with _BLAS_LOCK:
-            _blas_passes[0] -= 1
-            if not _blas_passes[0]:
-                set_threads(_blas_passes[1])
+            _blas_passes["running"] -= 1
+            if not _blas_passes["running"]:
+                set_threads(_blas_passes["threads_before"])
 
 
 def _for_row_blocks(rows: int, width: int, fill, buffers: int = 0) -> None:

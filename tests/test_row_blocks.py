@@ -480,9 +480,9 @@ def test_monte_carlo_memory_does_not_grow_with_the_sample_matrix(cpus, cpu_count
     # At dim 200 another 20000 samples are 32 MB as a matrix and 160 kB as log
     # density ratios; each worker's buffers have room for any range of the width.
     # The shared pass keeps the same two buffers a worker (room for two blocks each: 1 MB
-    # here at a 2 MB L2, 4.2 MB at the 2**18 fallback) for both whitenings, so it peaks within 2 MB of one check:
-    # its second measure adds a root and a T (320 kB each) and a log ratio and its exp
-    # (160 kB each).
+    # at a 2 MB L2, 4.2 MB at the 2**18 fallback) for both whitenings, so it peaks within
+    # 2 MB of one check: its second measure adds a root and a T (320 kB each) and a log
+    # ratio and its exp (160 kB each).
     cpus(cpu_count)
     nu, mu = _pair(200)
     pair = gd.GaussianPair(nu, mu)
@@ -513,7 +513,8 @@ def _numpy_openblas_threads():
         return None, "numpy does not report its BLAS"
     version = tuple(int(part) for part in re.findall(r"\d+", str(blas.get("version")))[:3])
     if "openblas" not in str(blas.get("name")) or version < (0, 3, 27):
-        return None, f"numpy's BLAS is {blas.get('name')} {blas.get('version')}, not OpenBLAS 0.3.27 or later"
+        return None, (f"numpy's BLAS is {blas.get('name')} {blas.get('version')}, "
+                      "not OpenBLAS 0.3.27 or later")
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         lib = ctypes.CDLL(path)
@@ -580,7 +581,8 @@ def test_passes_running_at_once_restore_the_count_after_the_last(cpus, blas_thre
         first_done.wait(30)
         seen.append(BLAS_THREADS())
 
-    passes = [threading.Thread(target=_for_row_blocks, args=(12, 200, fill)) for fill in (first, second)]
+    passes = [threading.Thread(target=_for_row_blocks, args=(12, 200, fill))
+              for fill in (first, second)]
     passes[0].start()
     first_in.wait(30)
     passes[1].start()

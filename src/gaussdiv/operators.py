@@ -53,7 +53,7 @@ def _l2_block_values(cpus: str = "/sys/devices/system/cpu") -> int:
             if level == "2" and kind in ("Unified", "Data"):
                 l2 = int(size[:-1]) * {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}[size[-1]]
                 return min(max(l2 // 32, 1 << 14), 1 << 18)
-    except (AttributeError, OSError, ValueError, KeyError, IndexError):
+    except (AttributeError, OSError, ValueError, KeyError):
         pass
     return 1 << 18
 

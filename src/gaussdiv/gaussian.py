@@ -517,6 +517,8 @@ def log_radon_nikodym_batch(
     :class:`~gaussdiv.errors.NonFinite`, with no numpy warning; the coefficients
     are checked before any row is computed.  Rows are whitened as ``(x - m_mu) L^{-T} V``
     and evaluated by :func:`_log_rn_pass`, as the Monte-Carlo checks' draws are.
+    While its row blocks run on several threads, numpy's OpenBLAS runs on one
+    thread for the whole process; the count from before comes back after.
     """
     data = _pair_of(nu, mu, data)
     if data.singular:

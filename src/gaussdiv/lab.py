@@ -22,7 +22,10 @@ ratio's row evaluation in the thread's own buffers, in O(n) memory; their values
 those of the two public calls in a row to 1e-12 relative, not byte for byte.  One draw
 can serve several measures: ``rn-check`` whitens each block's normals once for ``nu``
 and once for ``mu``, so its two checks equal :func:`mc_kl_check` and
-:func:`mc_rn_normalization` at the same seed, byte for byte.
+:func:`mc_rn_normalization` at the same seed, byte for byte.  While a pass runs its blocks
+on several threads, numpy's OpenBLAS thread count, which is the whole process's, is 1, so
+the block threads start no BLAS threads of their own; the count from before comes back
+after the last such pass, unless it was set again meanwhile.
 """
 
 from __future__ import annotations
@@ -195,7 +198,11 @@ def _draw_rows(seed: int, start: int, stop: int, z: np.ndarray) -> np.ndarray:
 
 
 def sample_gaussian(measure: GaussianMeasure, n: int, seed: int) -> np.ndarray:
-    """``n`` rows ``mean + C^{1/2} z`` with fresh standard normal ``z`` per row."""
+    """``n`` rows ``mean + C^{1/2} z`` with fresh standard normal ``z`` per row.
+
+    While its row blocks run on several threads, numpy's OpenBLAS runs on one
+    thread for the whole process; the count from before comes back after.
+    """
     n = _sample_count(n)
     root = _spectral_sqrt(measure.spectrum).entries
     samples = np.empty((n, measure.dim))
@@ -253,6 +260,8 @@ def mc_kl_check(
     Returns ``(estimate, stderr)``; the estimate is expected within 4 standard
     errors of :func:`~gaussdiv.gaussian.exact_kl`.  ``data``, the
     :class:`~gaussdiv.gaussian.GaussianPair` ``(nu, mu)``, lends its whitening.
+    While its row blocks run on several threads, numpy's OpenBLAS runs on one
+    thread for the whole process; the count from before comes back after.
     """
     return _mean_stderr(_sampled_log_rn((nu,), nu, mu, n, seed, data)[0])
 
@@ -265,7 +274,11 @@ def mc_rn_normalization(
     *,
     data: GaussianPair | None = None,
 ) -> tuple[float, float]:
-    """mu-mean of exp(log density ratio); the exact value is 1 (total mass of nu)."""
+    """mu-mean of exp(log density ratio); the exact value is 1 (total mass of nu).
+
+    While its row blocks run on several threads, numpy's OpenBLAS runs on one
+    thread for the whole process; the count from before comes back after.
+    """
     return _mean_stderr(np.exp(_sampled_log_rn((mu,), nu, mu, n, seed, data)[0]))
 
 

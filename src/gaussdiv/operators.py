@@ -24,7 +24,6 @@ import sys
 import threading
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -40,27 +39,12 @@ from .errors import (
 )
 
 
-def _l2_block_values(cpus: str = "/sys/devices/system/cpu") -> int:
-    """float64 values per row block of the Monte-Carlo passes: a 32nd of the L2 cache that
-    Linux reports for the first CPU of the affinity mask, so that the block in each of a
-    worker's two buffers fills a quarter of it, clamped to ``[2**14, 2**18]``; ``2**18``
-    (2 MB) wherever that size cannot be read."""
-    try:
-        cache = Path(cpus, f"cpu{min(os.sched_getaffinity(0))}", "cache")
-        for index in sorted(cache.glob("index*")):
-            level, kind, size = [(index / name).read_text().strip()
-                                 for name in ("level", "type", "size")]
-            if level == "2" and kind in ("Unified", "Data"):
-                l2 = int(size[:-1]) * {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}[size[-1]]
-                return min(max(l2 // 32, 1 << 14), 1 << 18)
-    except (AttributeError, OSError, ValueError, KeyError):
-        pass
-    return 1 << 18
-
-
-# A block is drawn, whitened and evaluated in one pass over its thread's own
-# buffers, so its normals and whitened rows stay in the core's L2 cache.
-_BLOCK_VALUES = _l2_block_values()
+# float64 values per row block of the Monte-Carlo passes, 512 kB: a block is
+# drawn, whitened and evaluated in one pass over its thread's own buffers, so
+# its normals and whitened rows, 1 MB, stay in a 2 MB L2 cache.  On
+# montecarlo-200 this took peak_rss_mb from 90.7 to 80.8 MB against 2 MB
+# blocks (BENCH_30.json).
+_BLOCK_VALUES = 1 << 16
 
 # The package's numerical thresholds, the same for every call.
 # Eigenvalues in (-PSD_CLIP, 0) count as zero; below is an error.
@@ -421,71 +405,81 @@ def _warn_ill_conditioned(ill: bool) -> None:
 
 
 @functools.cache
-def _openblas_set_threads():
-    """``openblas_set_num_threads_local`` of numpy's OpenBLAS (0.3.27 on), which returns the
-    count it replaces, or None where it is missing.  Looked up at the first pass."""
+def _numpy_openblas():
+    """numpy's OpenBLAS library if it has ``openblas_set_num_threads_local`` (0.3.27 on),
+    which returns the count it replaces, or None.  Looked up at the first pass."""
     import ctypes
     import glob
 
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         try:
-            set_threads = ctypes.CDLL(path).openblas_set_num_threads_local
+            lib = ctypes.CDLL(path)
+            set_threads = lib.openblas_set_num_threads_local
         except (OSError, AttributeError):
             continue
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
-        return set_threads
+        return lib
     return None
 
 
-# How many passes run now, and numpy's OpenBLAS thread count from before the first of them.
-_BLAS_LOCK, _blas_passes = threading.Lock(), {"running": 0, "threads_before": 0}
+# Guards the two below: how many passes run now with block threads, and numpy's
+# OpenBLAS thread count from before the first of them.
+_BLAS_LOCK = threading.Lock()
+_blas_passes = 0
+_blas_threads_before = 0
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """numpy's OpenBLAS on one thread.  In its pthreads builds, the ones numpy ships, that
-    count is the process's: the first pass running sets it and the last one restores it."""
-    set_threads = _openblas_set_threads() or (lambda count: count)
+    count is the process's: the first pass running sets it and the last one restores it,
+    unless the count was set again while they ran."""
+    global _blas_passes, _blas_threads_before
+    lib = _numpy_openblas()
+    set_threads = lib.openblas_set_num_threads_local if lib else (lambda count: count)
     with _BLAS_LOCK:
-        if not _blas_passes["running"]:
-            _blas_passes["threads_before"] = set_threads(1)
-        _blas_passes["running"] += 1
+        if not _blas_passes:
+            _blas_threads_before = set_threads(1)
+        _blas_passes += 1
     try:
         yield
     finally:
         with _BLAS_LOCK:
-            _blas_passes["running"] -= 1
-            if not _blas_passes["running"]:
-                set_threads(_blas_passes["threads_before"])
+            _blas_passes -= 1
+            if not _blas_passes:
+                during = set_threads(_blas_threads_before)
+                if during != 1:
+                    set_threads(during)
 
 
 def _for_row_blocks(rows: int, width: int, fill, buffers: int = 0) -> None:
     """Call ``fill(start, stop, *scratch)`` over consecutive row ranges covering ``range(rows)``.
 
     It serves sampling (``lab.sample_gaussian``, ``z C^{1/2}``) and the log
-    density ratio (``gaussian._log_rn_pass``) of given rows, ``(x - m) L^{-T} V``,
-    or of normals whitened by one product, ``z T``.  A range holds a multiple of
-    12 rows, about ``_BLOCK_VALUES`` values of ``width`` each (a 32nd of the L2
-    cache, clamped to ``[2**14, 2**18]``; ``2**18`` where Linux does not report
-    it), and the last range takes the remainder.  With one BLAS thread, every
-    row of a range's matmul then rounds as in one call over all rows: 12 is a
-    multiple of Philox's four words per step and of the row panels of
-    OpenBLAS's AVX-512 dgemm, and a split job has no short range, which BLAS
-    would multiply with its small-matrix or one-row kernels.  The ranges run on
-    up to one thread per CPU of the process, the calling thread among them;
-    with one range or one CPU it runs them all, in order.  numpy ufuncs, Philox
-    and BLAS release the GIL.  Every range runs with numpy's OpenBLAS on one
-    thread, so the block threads start no BLAS threads of their own; the count
-    from before is restored when the last pass running ends, and where numpy's
-    BLAS has no ``openblas_set_num_threads_local`` it is left alone.  Each
-    thread owns ``buffers`` float64 arrays, made on the calling thread before
-    any range runs and never handed to another thread; ``scratch`` is their
-    first ``stop - start`` rows.  They have room for the longest range of any
-    job of this width, so their size does not grow with ``rows``.  Every
-    thread is joined before the first exception of ``fill`` propagates.
-    ``fill`` writes disjoint rows and calls no traced entry point: no public
-    ``gaussdiv`` function and no ``numpy.linalg`` or ``scipy.linalg`` one.
+    density ratio (``gaussian._log_rn_pass``) of given rows,
+    ``(x - m) L^{-T} V``, or of normals whitened by one product, ``z T``.  A
+    range holds a multiple of 12 rows, about ``_BLOCK_VALUES`` values of
+    ``width`` each, and the last range takes the remainder.  With one BLAS thread, every row of a
+    range's matmul then rounds as in one call over all rows: 12 is a multiple of
+    Philox's four words per step and of the row panels of OpenBLAS's AVX-512
+    dgemm, and a split job has no short range, which BLAS would multiply with
+    its small-matrix or one-row kernels.  The ranges run on up to one thread per
+    CPU of the process, the calling thread among them; with one range or one CPU
+    it runs them all, in order.  numpy ufuncs, Philox and BLAS release the GIL.
+    Where block threads start, numpy's OpenBLAS runs on one thread until the
+    last such pass ends, so they start no BLAS threads of their own.  That count
+    is the whole process's: other threads' products run on one BLAS thread
+    meanwhile.  The count from before comes back after the pass, unless it was
+    set again during it; where numpy's BLAS has no
+    ``openblas_set_num_threads_local`` it is left alone.  Each thread owns
+    ``buffers`` float64 arrays, made on the calling thread before any range runs
+    and never handed to another thread; ``scratch`` is their first
+    ``stop - start`` rows.  They have room for the longest range of any job of this
+    width, so their size does not grow with ``rows``.  Every thread is joined
+    before the first exception of ``fill`` propagates.  ``fill`` writes disjoint
+    rows and calls no traced entry point: no public ``gaussdiv`` function and no
+    ``numpy.linalg`` or ``scipy.linalg`` one.
     """
     step = max(12, _BLOCK_VALUES // max(width, 1) // 12 * 12)
     count = max(rows // step, 1 if rows else 0)
@@ -512,7 +506,7 @@ def _for_row_blocks(rows: int, width: int, fill, buffers: int = 0) -> None:
                 errors.append(exc)
 
     threads = [threading.Thread(target=work, args=(scratch,)) for scratch in owned[1:]]
-    with _one_blas_thread():
+    with _one_blas_thread() if threads else contextlib.nullcontext():
         for thread in threads:
             thread.start()
         try:

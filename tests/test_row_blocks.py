@@ -26,20 +26,16 @@ The small block for normals is the smallest, 12 rows.  For samples and log
 density ratios it is 2**14 values: OpenBLAS multiplies blocks of a few rows
 with its small-matrix kernels, which round differently from the kernels of one
 large call, so with BLAS in the loop 12-row blocks are not bit-identical.
-The default block is a 32nd of the L2 cache that Linux reports in sysfs for
-the first CPU of the affinity mask, clamped to [2**14, 2**18] values, and
-2**18 where that size cannot be read; the rule is checked on fake sysfs trees.
-Every range runs with numpy's OpenBLAS on one thread: inside a fill its getter
-reads 1, and after the pass, after a failing fill and after two passes that ran
-at once, the count from before comes back.  Without the setter the pass runs
-as before.  Those tests skip where numpy is not on OpenBLAS 0.3.27 or later.
+A pass that starts block threads runs with numpy's OpenBLAS on one thread:
+inside its fills the getter reads 1, and after the pass, after a failing fill
+and after two passes that ran at once, the count from before comes back, or
+the count that a fill set.  A pass on the calling thread alone leaves the count
+as it is, and without the setter a pass gives the same bytes.  Those tests skip
+where numpy is not on OpenBLAS 0.3.27 or later.
 """
 
-import ctypes
 import functools
-import glob
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -133,9 +129,10 @@ def _pair(dim):
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_data(dim):
-    """The pair of ``_pair(dim)``, made once: at dim 800 each new one costs an ``eigh``."""
-    return gd.GaussianPair(*_pair(dim))
+def _lent_data(dim):
+    """``data`` for the public calls of a case: None, so that each call makes its own pair,
+    but at dim 800, where each new pair costs an ``eigh``, the one pair of ``_pair(dim)``."""
+    return gd.GaussianPair(*_pair(dim)) if dim >= 800 else None
 
 
 def block_normals(seed, rows, width):
@@ -157,7 +154,7 @@ def frozen_mc_checks(dim, n, seed):
     ``nu`` and of ``mu``: ``T = C^{1/2} L^{-T} V`` of the sampled measure and
     ``b = (m - m_mu) L^{-T} V``, which ``mu``'s draws do not add."""
     nu, mu = _pair(dim)
-    data = _pair_data(dim)
+    data = _pair_of(nu, mu, None)
     frame = data._rn_frame
     z = frozen_standard_normal(seed, STREAM_SAMPLE, (int(n), dim))
     log_rn = {}
@@ -171,10 +168,9 @@ def frozen_mc_checks(dim, n, seed):
 
 def _sample_and_rn(dim, n, seed):
     """``(name, got, want)`` for the samples, the log density ratios and, from two
-    samples on, the Monte-Carlo checks of one case.  Every call reads the one pair of
-    ``_pair_data(dim)``."""
+    samples on, the Monte-Carlo checks of one case."""
     nu, mu = _pair(dim)
-    pair = _pair_data(dim)
+    pair = _lent_data(dim)
     samples = gd.sample_gaussian(nu, n, seed)
     yield "samples", samples, frozen_sample_gaussian(nu, n, seed)
     for name, points in (("log rn", samples), ("log rn, no rows", samples[:0]),
@@ -261,11 +257,12 @@ def test_monte_carlo_checks_equal_the_two_public_calls_to_1e_12():
         if n < 2:
             continue
         nu, mu = _pair(dim)
-        pair = _pair_data(dim)
+        pair = _lent_data(dim)
         for check, measure, values in ((gd.mc_kl_check, nu, np.asarray),
                                        (gd.mc_rn_normalization, mu, np.exp)):
-            samples = gd.sample_gaussian(measure, n, seed)
-            want = lab._mean_stderr(values(gd.log_radon_nikodym_batch(samples, nu, mu, data=pair)))
+            log_rn = gd.log_radon_nikodym_batch(gd.sample_gaussian(measure, n, seed), nu, mu,
+                                                data=pair)
+            want = lab._mean_stderr(values(log_rn))
             assert_allclose(check(nu, mu, n, seed, data=pair), want, rtol=1e-12, atol=0,
                             err_msg=f"{dim} {n}")
 
@@ -383,61 +380,6 @@ def test_every_range_runs_once_under_thread_switching_stress(cpus):
         sys.setswitchinterval(interval)
 
 
-def _fake_sysfs(root, cpu, *entries):
-    """``root/cpu<cpu>/cache/index<i>/{level,type,size}`` for each ``(level, type, size)``."""
-    for i, entry in enumerate(entries):
-        index = root / f"cpu{cpu}" / "cache" / f"index{i}"
-        index.mkdir(parents=True)
-        for name, value in zip(("level", "type", "size"), entry):
-            (index / name).write_text(f"{value}\n")
-    return str(root)
-
-
-@pytest.mark.parametrize("l2, values", [
-    ("2048K", 1 << 16), ("512K", 1 << 14), ("256K", 1 << 14), ("64M", 1 << 18), ("1280K", 40_960)])
-def test_blocks_are_a_32nd_of_the_first_cpus_l2_cache(tmp_path, monkeypatch, l2, values):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 3}, raising=False)
-    _fake_sysfs(tmp_path, 0, (2, "Unified", "64K"))  # not in the affinity mask
-    root = _fake_sysfs(tmp_path, 3, (1, "Data", "48K"), (1, "Instruction", "32K"),
-                       (2, "Instruction", "1024K"), (2, "Data", l2), (3, "Unified", "105M"))
-    assert operators._l2_block_values(root) == values
-
-
-def test_ranges_of_a_1280k_cache_are_still_multiples_of_12_rows(cpus, monkeypatch):
-    cpus(1)
-    monkeypatch.setattr(operators, "_BLOCK_VALUES", 40_960)
-    for width in (1, 200, 800):
-        step = 40_960 // width // 12 * 12
-        calls = _record(3 * step + 5, width)
-        assert [stop - start for start, stop, _ in calls] == [step, step, step + 5], width
-        assert step >= 12 and step % 12 == 0
-
-
-def _unreadable(root):
-    _fake_sysfs(root, 0, (2, "Unified", "2048K"))
-    (root / "cpu0" / "cache" / "index0" / "size").unlink()
-    (root / "cpu0" / "cache" / "index0" / "size").mkdir()
-    return str(root)
-
-
-@pytest.mark.parametrize("sysfs", [
-    lambda root: str(root / "missing"),
-    _unreadable,
-    lambda root: _fake_sysfs(root, 0, (2, "Unified", "lots")),
-    lambda root: _fake_sysfs(root, 0, (2, "Unified", "2048Q")),
-    lambda root: _fake_sysfs(root, 0, (2, "Unified", "")),
-    lambda root: _fake_sysfs(root, 0, (1, "Data", "48K"), (3, "Unified", "105M")),  # no L2
-], ids=["missing directory", "unreadable file", "garbage", "unknown unit", "empty", "no L2"])
-def test_blocks_fall_back_to_2_mb_where_the_l2_size_cannot_be_read(tmp_path, cpus, sysfs):
-    cpus(2)
-    assert operators._l2_block_values(sysfs(tmp_path)) == 1 << 18
-
-
-def test_blocks_fall_back_to_2_mb_without_an_affinity_mask(tmp_path, monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert operators._l2_block_values(_fake_sysfs(tmp_path, 0, (2, "Unified", "2048K"))) == 1 << 18
-
-
 def test_normal_windows_start_on_a_philox_step():
     # The generator advances by whole counter steps of four draws: a window that
     # started between them would silently repeat the draws before it.
@@ -479,9 +421,8 @@ def test_monte_carlo_checks_repeat_byte_for_byte_under_thread_switching_stress(c
 def test_monte_carlo_memory_does_not_grow_with_the_sample_matrix(cpus, cpu_count):
     # At dim 200 another 20000 samples are 32 MB as a matrix and 160 kB as log
     # density ratios; each worker's buffers have room for any range of the width.
-    # The shared pass keeps the same two buffers a worker (room for two blocks each: 1 MB
-    # at a 2 MB L2, 4.2 MB at the 2**18 fallback) for both whitenings, so it peaks within
-    # 2 MB of one check: its second measure adds a root and a T (320 kB each) and a log
+    # The shared pass keeps the same two buffers a worker (1 MB each here) for both
+    # whitenings, so it peaks within 2 MB of one check: its second measure adds a root and a T (320 kB each) and a log
     # ratio and its exp (160 kB each).
     cpus(cpu_count)
     nu, mu = _pair(200)
@@ -505,35 +446,26 @@ def test_monte_carlo_memory_does_not_grow_with_the_sample_matrix(cpus, cpu_count
 # ---------------------------------------------------------------------------
 
 
-def _numpy_openblas_threads():
-    """numpy's OpenBLAS thread-count getter, or None and the reason it is missing."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        return None, "numpy does not report its BLAS"
-    version = tuple(int(part) for part in re.findall(r"\d+", str(blas.get("version")))[:3])
-    if "openblas" not in str(blas.get("name")) or version < (0, 3, 27):
-        return None, (f"numpy's BLAS is {blas.get('name')} {blas.get('version')}, "
-                      "not OpenBLAS 0.3.27 or later")
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                return getattr(lib, name), ""
-    return None, "numpy's OpenBLAS is not a library in numpy.libs"
+def _openblas_get_threads():
+    """The thread-count getter of numpy's OpenBLAS, where the guard can set that count."""
+    lib = operators._numpy_openblas()
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        if lib is not None and hasattr(lib, name):
+            return getattr(lib, name)
+    return None
 
 
-BLAS_THREADS, NO_OPENBLAS = _numpy_openblas_threads()
-needs_openblas = pytest.mark.skipif(BLAS_THREADS is None, reason=NO_OPENBLAS)
+BLAS_THREADS = _openblas_get_threads()
+needs_openblas = pytest.mark.skipif(
+    BLAS_THREADS is None, reason="numpy's BLAS is not OpenBLAS 0.3.27 or later: no "
+    "openblas_set_num_threads_local (or no thread-count getter) in numpy.libs")
 
 
 @pytest.fixture
 def blas_threads():
     """Set numpy's OpenBLAS thread count for the test, and restore it after."""
-    set_threads = operators._openblas_set_threads()
-    assert set_threads is not None, "numpy's OpenBLAS has no openblas_set_num_threads_local"
+    set_threads = operators._numpy_openblas().openblas_set_num_threads_local
     before = BLAS_THREADS()
     yield set_threads
     set_threads(before)
@@ -564,10 +496,38 @@ def test_every_range_runs_on_one_blas_thread_and_the_count_comes_back(cpus, blas
 
 
 @needs_openblas
+def test_a_count_set_during_the_pass_is_kept(cpus, blas_threads):
+    cpus(2)
+    blas_threads(2)
+    both = threading.Barrier(2, timeout=30)
+
+    def fill(start, stop):
+        both.wait()
+        if start == 0:
+            blas_threads(3)
+
+    _for_row_blocks(2 * STEP_200, 200, fill)
+    assert BLAS_THREADS() == 3
+
+
+@needs_openblas
+@pytest.mark.parametrize("cpu_count, rows", [(1, 20 * STEP_200), (8, STEP_200)],
+                         ids=["one CPU", "one range"])
+def test_a_pass_on_the_calling_thread_alone_leaves_the_count(cpus, blas_threads, cpu_count,
+                                                             rows):
+    cpus(cpu_count)
+    blas_threads(2)
+    seen = []
+    _for_row_blocks(rows, 200, lambda start, stop: seen.append(BLAS_THREADS()))
+    assert set(seen) == {2}
+    assert BLAS_THREADS() == 2
+
+
+@needs_openblas
 def test_passes_running_at_once_restore_the_count_after_the_last(cpus, blas_threads):
     # The count is the process's: the first pass to end must not restore it while the
     # second still runs, nor the second restore the 1 that the first set.
-    cpus(1)
+    cpus(2)
     blas_threads(2)
     first_in, second_in, release, first_done = (threading.Event() for _ in range(4))
     seen = []
@@ -581,7 +541,7 @@ def test_passes_running_at_once_restore_the_count_after_the_last(cpus, blas_thre
         first_done.wait(30)
         seen.append(BLAS_THREADS())
 
-    passes = [threading.Thread(target=_for_row_blocks, args=(12, 200, fill))
+    passes = [threading.Thread(target=_for_row_blocks, args=(2 * STEP_200, 200, fill))
               for fill in (first, second)]
     passes[0].start()
     first_in.wait(30)
@@ -591,7 +551,7 @@ def test_passes_running_at_once_restore_the_count_after_the_last(cpus, blas_thre
     passes[0].join()
     first_done.set()
     passes[1].join()
-    assert seen == [1]
+    assert seen == [1, 1]
     assert BLAS_THREADS() == 2
 
 
@@ -608,5 +568,5 @@ def test_without_the_openblas_setter_the_pass_runs_and_gives_the_same_bytes(monk
                 np.array(shared_mc_checks(nu, mu, 20_011, 3)).tobytes())
 
     guarded = outputs()
-    monkeypatch.setattr(operators, "_openblas_set_threads", lambda: None)
+    monkeypatch.setattr(operators, "_numpy_openblas", lambda: None)
     assert outputs() == guarded

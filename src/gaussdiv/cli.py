@@ -44,6 +44,7 @@ from .lab import (
     sweep_r,
     write_sweep_csv,
 )
+from .operators import _one_blas_thread
 
 
 def _fmt(x: float) -> str:
@@ -110,6 +111,11 @@ def _cmd_bayes(args) -> int:
     return 0
 
 
+# The whole command runs on one numpy BLAS thread, not only its row-block pass: a
+# product on OpenBLAS's pool while the measures and the pair are built leaves a pool
+# thread spinning on a CPU for about 0.1 s, through the pass.  Unpinned, at dim 200 and
+# n = 20000 on 2 CPUs, that took 239 ms against 184 (226 before row blocks ran on one).
+@_one_blas_thread()
 def _cmd_rn_check(args) -> int:
     if (args.nu is None) != (args.mu is None):
         raise ValueError("provide both --nu and --mu, or neither")

@@ -423,7 +423,7 @@ def _numpy_openblas():
     return None
 
 
-# Guards the two below: how many passes run now with block threads, and numpy's
+# Guards the two below: how many ``_one_blas_thread`` blocks run now, and numpy's
 # OpenBLAS thread count from before the first of them.
 _BLAS_LOCK = threading.Lock()
 _blas_passes = 0
@@ -432,9 +432,10 @@ _blas_threads_before = 0
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """numpy's OpenBLAS on one thread.  In its pthreads builds, the ones numpy ships, that
-    count is the process's: the first pass running sets it and the last one restores it,
-    unless the count was set again while they ran."""
+    """numpy's OpenBLAS on one thread, around a row-block pass with block threads or all
+    of ``rn-check``.  In its pthreads builds, the ones numpy ships, that count is the
+    process's: the first block running sets it and the last one restores it, unless the
+    count was set again while they ran."""
     global _blas_passes, _blas_threads_before
     lib = _numpy_openblas()
     set_threads = lib.openblas_set_num_threads_local if lib else (lambda count: count)

@@ -30,7 +30,8 @@ A pass that starts block threads runs with numpy's OpenBLAS on one thread:
 inside its fills the getter reads 1, and after the pass, after a failing fill
 and after two passes that ran at once, the count from before comes back, or
 the count that a fill set.  A pass on the calling thread alone leaves the count
-as it is, and without the setter a pass gives the same bytes.  Those tests skip
+as it is, and without the setter a pass gives the same bytes.  ``rn-check``
+runs on one BLAS thread from its first product on.  Those tests skip
 where numpy is not on OpenBLAS 0.3.27 or later.
 """
 
@@ -48,7 +49,7 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtri
 
 import gaussdiv as gd
-from gaussdiv import lab, operators
+from gaussdiv import cli, lab, operators
 from gaussdiv.gaussian import _pair_of
 from gaussdiv.lab import STREAM_SAMPLE
 from gaussdiv.operators import _for_row_blocks
@@ -570,3 +571,20 @@ def test_without_the_openblas_setter_the_pass_runs_and_gives_the_same_bytes(monk
     guarded = outputs()
     monkeypatch.setattr(operators, "_numpy_openblas", lambda: None)
     assert outputs() == guarded
+
+
+@needs_openblas
+def test_rn_check_runs_on_one_blas_thread_from_its_first_product(monkeypatch, blas_threads,
+                                                                 capsys):
+    # Its measures and pair are built before any row-block pass starts.
+    blas_threads(2)
+    seen, build = [], cli.equivalence_data
+
+    def spy(nu, mu):
+        seen.append(BLAS_THREADS())
+        return build(nu, mu)
+
+    monkeypatch.setattr(cli, "equivalence_data", spy)
+    cli.main(["rn-check", "--n", "2000", "--seed", "3"])
+    assert seen == [1]
+    assert BLAS_THREADS() == 2

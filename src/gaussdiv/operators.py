@@ -458,29 +458,29 @@ def _for_row_blocks(rows: int, width: int, fill, buffers: int = 0) -> None:
     """Call ``fill(start, stop, *scratch)`` over consecutive row ranges covering ``range(rows)``.
 
     It serves sampling (``lab.sample_gaussian``, ``z C^{1/2}``) and the log
-    density ratio (``gaussian._log_rn_pass``) of given rows,
-    ``(x - m) L^{-T} V``, or of normals whitened by one product, ``z T``.  A
-    range holds a multiple of 12 rows, about ``_BLOCK_VALUES`` values of
-    ``width`` each, and the last range takes the remainder.  With one BLAS thread, every row of a
-    range's matmul then rounds as in one call over all rows: 12 is a multiple of
-    Philox's four words per step and of the row panels of OpenBLAS's AVX-512
-    dgemm, and a split job has no short range, which BLAS would multiply with
-    its small-matrix or one-row kernels.  The ranges run on up to one thread per
-    CPU of the process, the calling thread among them; with one range or one CPU
-    it runs them all, in order.  numpy ufuncs, Philox and BLAS release the GIL.
-    Where block threads start, numpy's OpenBLAS runs on one thread until the
-    last such pass ends, so they start no BLAS threads of their own.  That count
-    is the whole process's: other threads' products run on one BLAS thread
-    meanwhile.  The count from before comes back after the pass, unless it was
-    set again during it; where numpy's BLAS has no
+    density ratio (``gaussian._log_rn_pass``) of given rows, ``(x - m) L^{-T} V``,
+    or of normals whitened by one product, ``z T``.  A range holds a multiple of
+    12 rows, about ``_BLOCK_VALUES`` values of ``width`` each, and the last range
+    takes the remainder.  With one BLAS thread, every row of a range's matmul
+    then rounds as in one call over all rows: 12 is a multiple of Philox's four
+    words per step and of the row panels of OpenBLAS's AVX-512 dgemm, and a
+    split job has no short range, which BLAS would multiply with its
+    small-matrix or one-row kernels.  The ranges run on up to one thread per
+    CPU of the process, the calling thread among them; with one range or one
+    CPU it runs them all, in order.  numpy ufuncs, Philox and BLAS release the
+    GIL.  Where block threads start, numpy's OpenBLAS runs on one thread until
+    the last such pass ends, so they start no BLAS threads of their own.  That
+    count is the whole process's: other threads' products run on one BLAS
+    thread meanwhile.  The count from before comes back after the pass, unless
+    it was set again during it; where numpy's BLAS has no
     ``openblas_set_num_threads_local`` it is left alone.  Each thread owns
     ``buffers`` float64 arrays, made on the calling thread before any range runs
     and never handed to another thread; ``scratch`` is their first
-    ``stop - start`` rows.  They have room for the longest range of any job of this
-    width, so their size does not grow with ``rows``.  Every thread is joined
-    before the first exception of ``fill`` propagates.  ``fill`` writes disjoint
-    rows and calls no traced entry point: no public ``gaussdiv`` function and no
-    ``numpy.linalg`` or ``scipy.linalg`` one.
+    ``stop - start`` rows.  They have room for the longest range of any job of
+    this width, so their size does not grow with ``rows``.  Every thread is
+    joined before the first exception of ``fill`` propagates.  ``fill`` writes
+    disjoint rows and calls no traced entry point: no public ``gaussdiv``
+    function and no ``numpy.linalg`` or ``scipy.linalg`` one.
     """
     step = max(12, _BLOCK_VALUES // max(width, 1) // 12 * 12)
     count = max(rows // step, 1 if rows else 0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -61,11 +62,20 @@ def _load_json(path: str) -> dict:
 
 def _load(path: str, from_dict):
     """``from_dict`` of the record in the JSON file at ``path``; a file that is not strict
-    JSON or not such a record raises ``ValueError`` naming the file."""
+    JSON or not such a record raises ``ValueError`` naming the file.
+
+    The cyclic garbage collector is paused meanwhile and then left as it was found: a
+    decoded tree has no reference cycles, and each of its row lists would otherwise count
+    towards a collection that walks them all (54 per dense-800 study, 72 ms)."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return from_dict(_load_json(path))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_measure(path: str) -> GaussianMeasure:

@@ -73,26 +73,45 @@ def _as_square_matrix(entries, *, what: str) -> np.ndarray:
 
 
 def _is_symmetric(m: np.ndarray) -> bool:
-    """Asymmetry within ``_SYM_TOL * max|entries|``, so the same at every scale."""
+    """Asymmetry within ``_SYM_TOL * max|entries|``, so the same at every scale.  An asymmetry
+    that overflows a double is beyond it."""
     if m.size == 0:
         return True
-    return float(np.max(np.abs(m - m.T))) <= _SYM_TOL * float(np.max(np.abs(m)))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(m - m.T))) <= _SYM_TOL * float(np.max(np.abs(m)))
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """``0.5 * (m + m.T)``, and ``0.5 * m + 0.5 * m.T`` at the entries of a finite ``m`` where
+    the sum overflows a double."""
+    with np.errstate(over="ignore"):
+        s = 0.5 * (m + m.T)
+    huge = np.isinf(s)
+    if huge.any():
+        s[huge] = 0.5 * m[huge] + 0.5 * m.T[huge]
+    return s
 
 
 class TraceClassBlock:
     """Symmetric dim x dim matrix standing for a finite-rank trace-class operator.
 
     Entries are symmetrized exactly on construction; input asymmetric beyond
-    ``_SYM_TOL * max|entries|`` is rejected.
+    ``_SYM_TOL * max|entries|`` is rejected.  Input that is symmetric bit for bit
+    (so ``-0.0`` against ``0.0`` is not) is kept as it is: the symmetrization would
+    return the same bits.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
         m = _as_square_matrix(entries, what="TraceClassBlock entries")
-        if not _is_symmetric(m):
+        bits = m.view(np.uint64)
+        if np.array_equal(bits, bits.T):
+            m = np.ascontiguousarray(m)  # the layout the symmetrization returns
+        elif _is_symmetric(m):
+            m = _symmetrized(m)
+        else:
             raise ValueError("TraceClassBlock entries are not symmetric within tolerance")
-        m = 0.5 * (m + m.T)
         m.flags.writeable = False
         self.entries = m
 
@@ -250,7 +269,8 @@ def _spectrum_verdicts(matrix: np.ndarray, shift: float, floors=(PSD_CLIP,), fac
     bound, so ``lambda_min <= sqrt(n) / e``; it is rarely below the norm by more than a factor
     3, and a factor ``n`` is allowed for, so ``lambda_min >= 1 / (n e)``.  The largest
     eigenvalue lies in ``[||A||_1 / sqrt(n), ||A||_1]``.  Every bound is widened by
-    ``n eps ||A||_1`` for the rounding of the factorization and of ``eigvalsh``.  Below
+    ``n eps ||A||_1`` for the rounding of the factorization and of ``eigvalsh``.  Every verdict
+    stays open where a bound overflows a double, as near entries of 1e308.  Below
     ``_ESTIMATE_MIN_DIM`` nothing is told or factored: ``eigvalsh`` costs less there.
     That margin times ``CONDITION_WARN`` outgrows ``||A||_1 / sqrt(n)``: from dimension 32 on
     the estimate never calls a base ill-conditioned while clearing it of degeneracy, and from
@@ -263,15 +283,18 @@ def _spectrum_verdicts(matrix: np.ndarray, shift: float, floors=(PSD_CLIP,), fac
         factor = _shifted_cholesky(matrix, shift)[0] if factor is None else factor
     except NotPositive:
         return unknown
-    norm = float(np.linalg.norm(matrix, 1)) + shift
-    rcond, info = scipy.linalg.lapack.dpocon(factor, norm, uplo="L")
-    inv_estimate = rcond * norm  # 1 / e
-    if info != 0 or not 0.0 < inv_estimate < np.inf:
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(matrix, 1)) + shift
+        rcond, info = scipy.linalg.lapack.dpocon(factor, norm, uplo="L")
+        inv_estimate = rcond * norm  # 1 / e
+        root, noise = np.sqrt(n), n * np.finfo(float).eps * norm
+        lo, hi = inv_estimate / n - noise, root * inv_estimate + noise
+        top_lo, top_hi = norm / root - noise, norm + noise
+        warn_lo, warn_hi = CONDITION_WARN * lo, CONDITION_WARN * hi
+    bounds = (lo, hi, top_lo, top_hi, warn_lo, warn_hi)
+    if info != 0 or not inv_estimate > 0.0 or not np.all(np.isfinite(bounds)):
         return unknown
-    root, noise = np.sqrt(n), n * np.finfo(float).eps * norm
-    lo, hi = inv_estimate / n - noise, root * inv_estimate + noise
-    top_lo, top_hi = norm / root - noise, norm + noise
-    ill = True if top_lo > CONDITION_WARN * hi else False if top_hi <= CONDITION_WARN * lo else None
+    ill = True if top_lo > warn_hi else False if top_hi <= warn_lo else None
     return (*(True if hi <= floor else False if lo > floor else None for floor in floors), ill)
 
 

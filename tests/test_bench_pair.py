@@ -1,4 +1,5 @@
-"""``tools/bench_pair.py``: its summary reproduces the paired runs recorded in ``BENCH_15.json``."""
+"""``tools/bench_pair.py``: its summary reproduces the paired runs recorded in ``BENCH_15.json``,
+and each run records its child usage."""
 
 import json
 import pathlib
@@ -98,3 +99,31 @@ def test_traced_keeps_a_metric_only_one_side_reports(tool):
     assert record["metrics"]["gaussian.measure_init.ms"] == {"parent": None, "change": 61.25,
                                                              "unit": "ms/op"}
     assert record["runs"]["change"]["failed"] == 1
+
+
+
+FAKE_RUN = """
+import json, time
+pages = bytearray(64 * 2**20)  # zeroed on first touch, page by page
+for offset in range(0, len(pages), 4096):
+    pages[offset] = 1
+spin = time.process_time() + 0.2
+while time.process_time() < spin:
+    pass
+print('# meta {"cpu": "x"}')
+print(json.dumps({"correct": 3, "attempted": 3, "failed": 0,
+                  "metrics": {name: {"value": 1.0} for name in NAMES}}))
+"""
+
+
+def test_run_records_the_child_usage_of_each_run(tool, tmp_path):
+    names = [spec["name"] for spec in END_TO_END]
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(f"NAMES = {names!r}\n" + FAKE_RUN)
+    figures, meta = tool["run"](str(tmp_path), "w", 1, 1, END_TO_END)
+    assert meta == {"cpu": "x"}
+    assert figures == {**{name: 1.0 for name in names}, "attempted": 3, "failed": 0, "correct": 3,
+                       **{key: figures[key] for key in tool["USAGE_KEYS"]}}
+    assert figures["child_user_s"] > 0.0 and figures["child_sys_s"] >= 0.0
+    assert figures["child_user_s"] + figures["child_sys_s"] >= 0.15  # the 0.2 s spin
+    assert figures["child_minflt"] >= 64 * 2**20 // 4096  # a fault per touched page at least

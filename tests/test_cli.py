@@ -1,14 +1,17 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import gc
 import json
 import math
 import struct
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import gaussdiv as gd
+from gaussdiv import cli
 from gaussdiv.cli import _fmt, _load_json, build_parser, main
 from oracles import far_pair, overflowing_mean_pair, rounded_zero_pair
 
@@ -373,6 +376,79 @@ class TestDecoder:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {nu}: ")
+
+
+class TestCollectorPause:
+    """``cli._load`` pauses the cyclic garbage collector from decoding a file to building its
+    record, and leaves it as it found it."""
+
+    @pytest.fixture
+    def collections_while_loading(self, monkeypatch):
+        """The generations of the collections that start inside ``cli._load``.  The gen-0
+        threshold is 1, so that any container allocated there would start one."""
+        seen = []
+
+        def callback(phase, info):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not cli._load.__code__:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                seen.append(info["generation"])
+
+        threshold = gc.get_threshold()
+        gc.set_threshold(1, 10**6, 10**6)
+        gc.callbacks.append(callback)
+        try:
+            yield seen
+        finally:
+            gc.callbacks.remove(callback)
+            gc.set_threshold(*threshold)
+
+    @pytest.fixture
+    def model_path(self, tmp_path):
+        prior = gd.GaussianMeasure([0.1, -0.2], [[1.0, 0.2], [0.2, 0.8]])
+        model = gd.LinearGaussianModel([[1.0, 0.5]], [[0.1]], prior, [0.4])
+        return _write(tmp_path, "model.json", json.dumps(model.to_dict()))
+
+    @pytest.fixture
+    def collector_enabled(self, request):
+        """The collector enabled or disabled, as the test's parameter says, and enabled after."""
+        (gc.enable if request.param else gc.disable)()
+        try:
+            yield request.param
+        finally:
+            gc.enable()
+
+    def test_loading_measure_and_model_files_runs_no_collection(
+            self, pair_files, model_path, collections_while_loading, capsys):
+        nu_path, mu_path = pair_files[:2]
+        assert main(["div", "--kind", "kl", "--nu", nu_path, "--mu", mu_path]) == 0
+        assert main(["bayes", "--model", model_path]) == 0
+        assert collections_while_loading == []
+
+    @pytest.mark.parametrize("collector_enabled", [True, False], indirect=True,
+                             ids=["enabled", "disabled"])
+    def test_the_collector_state_is_restored(self, pair_files, model_path, collector_enabled,
+                                             capsys):
+        nu_path, mu_path = pair_files[:2]
+        assert main(["div", "--kind", "kl", "--nu", nu_path, "--mu", mu_path]) == 0
+        assert gc.isenabled() is collector_enabled
+        assert main(["bayes", "--model", model_path]) == 0
+        assert gc.isenabled() is collector_enabled
+
+    @pytest.mark.parametrize("collector_enabled", [True, False], indirect=True,
+                             ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("text", ['{"dim": 1, "mean": [NaN], "cov": [[1.0]]}',
+                                      '{"dim": 1, "mean": [0.0]}'],
+                             ids=["not JSON", "no cov"])
+    def test_the_collector_state_is_restored_after_a_malformed_file(
+            self, tmp_path, collector_enabled, text, capsys):
+        nu = _write(tmp_path, "nu.json", text)
+        mu = _write(tmp_path, "mu.json", '{"dim": 1, "mean": [0.0], "cov": [[1.0]]}')
+        assert main(["div", "--kind", "kl", "--nu", nu, "--mu", mu]) == 2
+        assert gc.isenabled() is collector_enabled
+        assert main(["bayes", "--model", nu]) == 2
+        assert gc.isenabled() is collector_enabled
 
 
 class TestWrongShapeFiles:

@@ -47,6 +47,89 @@ class TestTraceClassBlock:
         with pytest.raises(gd.NonFinite):
             gd.TraceClassBlock([[np.nan]])
 
+    def test_bitwise_symmetric_input_skips_the_tolerance_test(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gd.operators, "_is_symmetric", lambda m: calls.append(m) or True)
+        cov = rand_spd(np.random.default_rng(31), 40)
+        measure = gd.GaussianMeasure.from_dict({"dim": 40, "mean": [0.0] * 40,
+                                                "cov": cov.tolist()})
+        assert_allclose(measure.cov.entries, cov, rtol=0, atol=0)
+        assert calls == []
+        gd.TraceClassBlock([[1.0, 0.0], [-0.0, 1.0]])  # -0.0 against 0.0 is not bitwise
+        assert len(calls) == 1
+
+    def test_a_fortran_ordered_input_comes_out_c_ordered(self):
+        for m in (np.eye(3), np.array([[1.0, 2.0], [2.0 + 1e-15, 3.0]])):
+            entries = gd.TraceClassBlock(np.asfortranarray(m)).entries
+            assert entries.flags.c_contiguous
+            assert_allclose(entries, 0.5 * (m + m.T), rtol=0, atol=0)
+
+
+# Entries whose pairwise sums stay finite, and the signed zeros and subnormals among them.
+_FINITE = st.floats(-8.9e307, 8.9e307, allow_subnormal=True)
+_TINY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310])
+
+
+@st.composite
+def _near_symmetric(draw):
+    """A square matrix that is symmetric, symmetric up to the sign of its zeros, or asymmetric
+    within ``_SYM_TOL`` of its largest entry."""
+    n = draw(st.integers(1, 6))
+    m = np.array(draw(st.lists(st.one_of(_FINITE, _TINY), min_size=n * n, max_size=n * n)))
+    m = m.reshape(n, n)
+    lower = np.tril_indices(n, -1)
+    m[lower] = m.T[lower]
+    how = draw(st.sampled_from(["symmetric", "signed zeros", "within tolerance"]))
+    k = len(lower[0])
+    if how == "signed zeros":
+        flip = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool)
+        m[lower] = np.where(flip & (m[lower] == 0.0), -m[lower], m[lower])
+    elif how == "within tolerance":
+        rel = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=k, max_size=k)))
+        m[lower] += rel * gd.operators._SYM_TOL * np.max(np.abs(m))
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_symmetric())
+def test_entries_equal_the_frozen_symmetrization_bit_for_bit(m):
+    want = 0.5 * (m + m.T)
+    assert np.array_equal(gd.TraceClassBlock(m).entries.view(np.uint64), want.view(np.uint64))
+
+
+class TestNearTheTopOfTheDoubleRange:
+    """A finite covariance with entries near 1e308 stays finite and raises no numpy warning."""
+
+    def test_a_symmetric_block_is_kept(self):
+        assert gd.TraceClassBlock([[1e308]]).entries.tolist() == [[1e308]]
+        top = np.nextafter(np.inf, 0.0)
+        assert gd.TraceClassBlock([[top, -top], [-top, top]]).entries.tolist() == [[top, -top],
+                                                                                  [-top, top]]
+
+    def test_an_asymmetric_block_is_symmetrized_without_overflow(self):
+        m = np.array([[1.7e308, 1.7e308], [1.7e308 * (1 - 1e-13), 1.7e308]])
+        entries = gd.TraceClassBlock(m).entries
+        assert np.all(np.isfinite(entries))
+        assert entries[0, 1] == entries[1, 0] == 0.5 * m[0, 1] + 0.5 * m[1, 0]
+        assert entries[0, 0] == entries[1, 1] == 1.7e308
+
+    def test_an_overflowing_asymmetry_is_rejected(self):
+        with pytest.raises(ValueError, match="^TraceClassBlock entries are not symmetric "
+                                             "within tolerance$"):
+            gd.TraceClassBlock([[1.0, 1.7e308], [-1.7e308, 1.0]])
+
+    @pytest.mark.parametrize("dim", [3, 40])
+    def test_a_measure_builds_and_judges_its_covariance(self, dim):
+        measure = gd.GaussianMeasure(np.zeros(dim), 1e308 * np.eye(dim))
+        assert measure.cov.entries[0, 0] == 1e308
+        assert not measure._verdict("degenerate")
+        assert not measure._verdict("ill")
+
+    def test_the_condition_estimate_leaves_an_overflowing_bound_open(self):
+        floors = (-gd.PSD_CLIP, gd.PSD_CLIP)
+        assert gd.operators._spectrum_verdicts(1e308 * np.eye(40), 0.0, floors) == (None,) * 3
+        assert gd.operators._spectrum_verdicts(np.eye(40), 0.0, floors) == (False, False, False)
+
 
 class TestShiftedOperator:
     def test_nonsymmetric_block_kept_verbatim(self):

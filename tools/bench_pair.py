@@ -12,7 +12,10 @@ tree runs its own ``perfbench/run.py --workload W --seed S --seconds T
 both trees must agree on.  On seeds 1 to 10 the parent runs first on odd seeds
 and the change first on even seeds; then the held-out seed 7919 runs once,
 parent first.  ``--workload`` may be repeated; the workloads run one after
-another.
+another.  Next to its end-to-end figures each run records ``child_user_s``,
+``child_sys_s`` and ``child_minflt``, its CPU seconds and minor page faults as
+``getrusage(RUSAGE_CHILDREN)`` deltas around it, which tell where a wall-clock
+change comes from.
 
 For every end-to-end metric of the change's ``BENCHMARK.json`` the summary
 holds each side's median and quartiles over the paired seeds
@@ -35,6 +38,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tarfile
@@ -46,6 +50,7 @@ PAIRS = 10
 HELD_OUT_SEED = 7919
 TRACED_SEED = 3
 RUN_KEYS = ("attempted", "failed", "correct")
+USAGE_KEYS = ("child_user_s", "child_sys_s", "child_minflt")
 
 
 def schedule(pairs: int) -> list[tuple[int, str]]:
@@ -123,12 +128,23 @@ def perfbench(tree: str, workload: str, seed: int, seconds: float, trace: int) -
                           text=True).stdout.splitlines()
 
 
+def child_usage(before, after) -> dict:
+    """CPU user and system seconds and minor page faults between two
+    ``getrusage(RUSAGE_CHILDREN)`` readings, rounded like the end-to-end figures."""
+    return dict(zip(USAGE_KEYS, (round(after.ru_utime - before.ru_utime, 4),
+                                 round(after.ru_stime - before.ru_stime, 4),
+                                 after.ru_minflt - before.ru_minflt)))
+
+
 def run(tree: str, workload: str, seed: int, seconds: float, end_to_end: list[dict]) -> tuple:
-    """One untraced run in ``tree``: its rounded end-to-end figures and its meta."""
+    """One untraced run in ``tree``: its rounded end-to-end figures, outcome and child usage,
+    and its meta."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = perfbench(tree, workload, seed, seconds, 0)
+    usage = child_usage(before, resource.getrusage(resource.RUSAGE_CHILDREN))
     last = json.loads(lines[-1])
     figures = {spec["name"]: round(last["metrics"][spec["name"]]["value"], 4) for spec in end_to_end}
-    return {**figures, **{key: last[key] for key in RUN_KEYS}}, run_meta(lines)
+    return {**figures, **{key: last[key] for key in RUN_KEYS}, **usage}, run_meta(lines)
 
 
 def run_meta(lines: list[str]) -> dict:
@@ -230,6 +246,9 @@ def main(argv=None) -> int:
                      f"then held-out seed {HELD_OUT_SEED} once (parent first)",
             "quartiles": f"numpy.percentile, linear interpolation, over the {PAIRS} paired seeds",
             "win": "change better than parent on the same seed; ties count for neither",
+            "child_usage": "child_user_s, child_sys_s and child_minflt of each run: the CPU "
+                           "seconds and minor page faults of the run's process and the children "
+                           "it waited for, as getrusage(RUSAGE_CHILDREN) deltas",
         },
     }
     if args.claim is not None:

@@ -53,7 +53,12 @@ a 400-digit integer, a trailing comma, an empty file) or not a measure (a
 ``mean`` object, a ``dim`` of null or a list, a top-level list, no ``cov``).  ``bayes``
 runs on two small model files that the battery writes, on one whose noise
 covariance is not positive definite, on a JSON string and on a model whose
-``forward`` is an object.
+``forward`` is an object.  Last, ``div`` for every kind, exact and at every
+gamma above, runs on pairs of written measures whose covariance entries lie
+near 1e308 (``huge3``, ``huge3b``, ``huge40``, ``huge40b``: diagonals whose
+doubles overflow, two of them asymmetric within tolerance) and on ``huge3/p3``
+and ``e40/huge40``; their covariances must stay finite, and the calls print no
+``nan`` and raise no numpy warning.
 """
 
 from __future__ import annotations
@@ -122,12 +127,33 @@ PAIRS += [pair for name in ("deg40", "ill40", "clip40", "warn40") for other in (
 RN_PAIRS = [("p3", "e3"), ("p8", "e8"), ("p40", "e40"), ("p72", "e72"), ("thin", "unit"),
             ("unit", "flat"), ("far", "near"), ("top", "bottom")]
 
-# name -> a measure written as a file, for a pair that ``gen`` cannot make: means at
-# +-1e308, so that their difference overflows a double
+
+
+def _huge_cov(diagonal, off: float, skew: float) -> list:
+    """A covariance with ``diagonal`` and ``off`` next to it, each entry below the diagonal
+    times ``1 + skew``: an asymmetry within tolerance when ``skew`` is small."""
+    dim = len(diagonal)
+    return [[diagonal[i] if i == j else off * (1.0 + skew) ** (i > j) if abs(i - j) == 1 else 0.0
+             for j in range(dim)] for i in range(dim)]
+
+
+# name -> a measure written as a file, for pairs that ``gen`` cannot make: means at
+# +-1e308, so that their difference overflows a double; and covariances with entries
+# near 1e308 (dims 3 and 40), whose sum with their transpose overflows, two of them
+# asymmetric within tolerance
 WRITTEN_MEASURES = {
     "top": {"dim": 2, "mean": [1e308, -1e308], "cov": [[2.0, 0.5], [0.5, 1.0]]},
     "bottom": {"dim": 2, "mean": [-1e308, 1e308], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+    "huge3": {"dim": 3, "mean": [0.0] * 3, "cov": _huge_cov([1.6e308, 1.2e308, 9e307], 1e307, 1e-12)},
+    "huge3b": {"dim": 3, "mean": [1.0, 0.0, -1.0], "cov": _huge_cov([1e308, 1.5e308, 1.3e308], 5e306, 0.0)},
+    "huge40": {"dim": 40, "mean": [0.0] * 40,
+               "cov": _huge_cov([1.7e308 * (0.6 ** (k / 39)) for k in range(40)], 1e306, 1e-12)},
+    "huge40b": {"dim": 40, "mean": [0.5] * 40,
+                "cov": _huge_cov([1e308 + 1.5e306 * k for k in range(40)], 2e306, 0.0)},
 }
+# pairs with a near-overflow covariance, run through ``div`` alone
+HUGE_PAIRS = [("huge3", "huge3b"), ("huge3b", "huge3"), ("huge40", "huge40b"),
+              ("huge40b", "huge40"), ("huge3", "p3"), ("e40", "huge40")]
 
 # name -> text of a measure file that is not valid JSON or not a measure; each is
 # read by ``div --kind kl --nu <name> --mu unit``
@@ -215,6 +241,12 @@ def _calls(tmp: str):
     mismatched = _pair(tmp, "p3", "e8")
     yield ["div", "--kind", "kl", "--r", "0.3", "--exact", *mismatched], None
     yield ["div", "--kind", "kl", "--r", "0.3", "--gamma", "1e-3", *mismatched], None
+    for nu, mu in HUGE_PAIRS:
+        for kind, r in KINDS:
+            order = [] if r is None else ["--r", r]
+            for gamma in DIV_GAMMAS:
+                mode = ["--exact"] if gamma is None else ["--gamma", gamma]
+                yield ["div", "--kind", kind, *order, *mode, *_pair(tmp, nu, mu)], None
 
 
 def _pair(tmp: str, nu: str, mu: str) -> list[str]:

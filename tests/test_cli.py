@@ -383,7 +383,7 @@ class TestCollectorPause:
     record, and leaves it as it found it."""
 
     @pytest.fixture
-    def collections_while_loading(self, monkeypatch):
+    def collections_while_loading(self):
         """The generations of the collections that start inside ``cli._load``.  The gen-0
         threshold is 1, so that any container allocated there would start one."""
         seen = []

@@ -247,8 +247,8 @@ def main(argv=None) -> int:
             "quartiles": f"numpy.percentile, linear interpolation, over the {PAIRS} paired seeds",
             "win": "change better than parent on the same seed; ties count for neither",
             "child_usage": "child_user_s, child_sys_s and child_minflt of each run: the CPU "
-                           "seconds and minor page faults of the run's process and the children "
-                           "it waited for, as getrusage(RUSAGE_CHILDREN) deltas",
+                           "seconds and minor page faults of the run's process and the "
+                           "children it waited for, as getrusage(RUSAGE_CHILDREN) deltas",
         },
     }
     if args.claim is not None:

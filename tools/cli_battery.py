@@ -128,7 +128,6 @@ RN_PAIRS = [("p3", "e3"), ("p8", "e8"), ("p40", "e40"), ("p72", "e72"), ("thin",
             ("unit", "flat"), ("far", "near"), ("top", "bottom")]
 
 
-
 def _huge_cov(diagonal, off: float, skew: float) -> list:
     """A covariance with ``diagonal`` and ``off`` next to it, each entry below the diagonal
     times ``1 + skew``: an asymmetry within tolerance when ``skew`` is small."""
@@ -144,8 +143,10 @@ def _huge_cov(diagonal, off: float, skew: float) -> list:
 WRITTEN_MEASURES = {
     "top": {"dim": 2, "mean": [1e308, -1e308], "cov": [[2.0, 0.5], [0.5, 1.0]]},
     "bottom": {"dim": 2, "mean": [-1e308, 1e308], "cov": [[1.0, 0.0], [0.0, 1.0]]},
-    "huge3": {"dim": 3, "mean": [0.0] * 3, "cov": _huge_cov([1.6e308, 1.2e308, 9e307], 1e307, 1e-12)},
-    "huge3b": {"dim": 3, "mean": [1.0, 0.0, -1.0], "cov": _huge_cov([1e308, 1.5e308, 1.3e308], 5e306, 0.0)},
+    "huge3": {"dim": 3, "mean": [0.0] * 3,
+              "cov": _huge_cov([1.6e308, 1.2e308, 9e307], 1e307, 1e-12)},
+    "huge3b": {"dim": 3, "mean": [1.0, 0.0, -1.0],
+               "cov": _huge_cov([1e308, 1.5e308, 1.3e308], 5e306, 0.0)},
     "huge40": {"dim": 40, "mean": [0.0] * 40,
                "cov": _huge_cov([1.7e308 * (0.6 ** (k / 39)) for k in range(40)], 1e306, 1e-12)},
     "huge40b": {"dim": 40, "mean": [0.5] * 40,
@@ -199,10 +200,8 @@ def _calls(tmp: str):
     for nu, mu in PAIRS:
         pair = _pair(tmp, nu, mu)
         for kind, r in KINDS:
+            yield from _div_calls(pair, kind, r)
             order = [] if r is None else ["--r", r]
-            for gamma in DIV_GAMMAS:
-                mode = ["--exact"] if gamma is None else ["--gamma", gamma]
-                yield ["div", "--kind", kind, *order, *mode, *pair], None
             grid = ["--from", "1e-1", "--to", "1e-13", "--points", "7", "--out", out]
             yield ["sweep-gamma", "--kind", kind, *order, *pair, *grid], out
         for gamma in SWEEP_R_GAMMAS:
@@ -243,10 +242,15 @@ def _calls(tmp: str):
     yield ["div", "--kind", "kl", "--r", "0.3", "--gamma", "1e-3", *mismatched], None
     for nu, mu in HUGE_PAIRS:
         for kind, r in KINDS:
-            order = [] if r is None else ["--r", r]
-            for gamma in DIV_GAMMAS:
-                mode = ["--exact"] if gamma is None else ["--gamma", gamma]
-                yield ["div", "--kind", kind, *order, *mode, *_pair(tmp, nu, mu)], None
+            yield from _div_calls(_pair(tmp, nu, mu), kind, r)
+
+
+def _div_calls(pair: list[str], kind: str, r):
+    """``div`` of ``pair`` at order ``r`` (None for none), exact and at each of DIV_GAMMAS."""
+    order = [] if r is None else ["--r", r]
+    for gamma in DIV_GAMMAS:
+        mode = ["--exact"] if gamma is None else ["--gamma", gamma]
+        yield ["div", "--kind", kind, *order, *mode, *pair], None
 
 
 def _pair(tmp: str, nu: str, mu: str) -> list[str]:

@@ -13,7 +13,7 @@ import scipy.linalg
 
 from .errors import DimMismatch, NonFinite, NotPositive
 from .gaussian import GaussianMeasure, _check_record, _field, _float_array
-from .operators import TraceClassBlock, _exact_verdicts, _shifted_cholesky, _spectrum_verdicts
+from .operators import TraceClassBlock, _exact_verdicts, _shifted_cholesky, _spectrum_verdicts, _symmetrized
 
 
 class LinearGaussianModel:
@@ -94,11 +94,11 @@ def _update(model: LinearGaussianModel):
     a = model.forward
     ac0 = a @ model.prior.cov.entries
     k = model.noise_cov.entries + ac0 @ a.T
-    factor, logdet_k = _shifted_cholesky(0.5 * (k + k.T), 0.0)
+    factor, logdet_k = _shifted_cholesky(_symmetrized(k), 0.0)
     innovation = model.observation - a @ model.prior.mean
     mean = model.prior.mean + ac0.T @ scipy.linalg.cho_solve((factor, True), innovation)
     cov = model.prior.cov.entries - ac0.T @ scipy.linalg.cho_solve((factor, True), ac0)
-    model._solved = GaussianMeasure(mean, TraceClassBlock._symmetric(0.5 * (cov + cov.T))), logdet_k
+    model._solved = GaussianMeasure(mean, _symmetrized(cov)), logdet_k
     return model._solved
 
 

@@ -50,8 +50,9 @@ from .operators import (
 )
 
 
-class _OverflowingMeans(NonFinite):
-    """``m_nu - m_mu`` overflows a double, and with it every divergence of the pair."""
+class _PairOverflow(NonFinite):
+    """The mean difference ``m_nu - m_mu`` or the whitened covariance ``L^{-1} C_nu L^{-T}``
+    overflows a double, and with it every divergence that reads it."""
 
 
 def _finite_result(compute, transform=float) -> float:
@@ -61,13 +62,15 @@ def _finite_result(compute, transform=float) -> float:
     A Renyi value that overflows a double raises :class:`~gaussdiv.errors.NonFinite`
     unless ``transform`` maps it to a finite value: the Hellinger distance of such a
     pair is ``sqrt(2)`` to double precision.  So is that of a pair whose mean difference
-    overflows, where ``D_B >= |m_nu - m_mu|^2 / (8 lambda_max)`` does too; every other
-    kind raises the mean difference's error.  A NaN always raises.
+    overflows, where ``D_B >= |m_nu - m_mu|^2 / (8 lambda_max)`` does too, or whose whitened
+    covariance does, where one whitened eigenvalue above 1e308 makes ``D_B`` at least about
+    177 (every term of ``D_B`` is nonnegative); every other kind raises that quantity's
+    error.  A NaN always raises.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             renyi = compute()
-    except _OverflowingMeans:
+    except _PairOverflow:
         if not math.isfinite(transform(math.inf)):
             raise
         renyi = math.inf
@@ -257,13 +260,16 @@ class GaussianPair:
     def s_block(self) -> TraceClassBlock:
         """``S = I - W``, ``W = L^{-1} C_nu L^{-T}`` by one LAPACK ``dsygst``, which uses the
         symmetry of ``C_nu`` and takes about half the time of two triangular solves.  It
-        computes the lower triangle of ``W``; ``S`` mirrors it, so it is exactly symmetric."""
+        computes the lower triangle of ``W``; ``S`` mirrors it, so it is exactly symmetric.
+        :class:`~gaussdiv.errors.NonFinite` where ``W`` overflows a double."""
         w, _ = scipy.linalg.lapack.dsygst(self.nu.cov.entries, self.base_factor, lower=1)
         s_mat = np.tril(w, -1)
         s_mat += s_mat.T
         np.negative(s_mat, out=s_mat)
         np.fill_diagonal(s_mat, 1.0 - np.diagonal(w))
-        return TraceClassBlock._symmetric(s_mat)
+        if not np.all(np.isfinite(s_mat)):
+            raise _PairOverflow("the whitened covariance L^{-1} C_nu L^{-T} does not fit in a double")
+        return TraceClassBlock(s_mat)
 
     @cached_property
     def s_eigenvalues(self) -> np.ndarray:
@@ -279,7 +285,7 @@ class GaussianPair:
         with np.errstate(over="ignore"):
             diff = self.nu.mean - self.mu.mean
         if not np.all(np.isfinite(diff)):
-            raise _OverflowingMeans("the mean difference m_nu - m_mu does not fit in a double")
+            raise _PairOverflow("the mean difference m_nu - m_mu does not fit in a double")
         diff.flags.writeable = False
         return diff
 
@@ -346,9 +352,8 @@ class GaussianPair:
             cov_term = -0.5 * float(np.sum(np.log1p(-a) + a))
             return 0.5 * float(self.delta @ self.delta) + cov_term
         a = self.s_spectrum.eigenvalues
+        # _singular_at cleared a < 1 - SINGULAR_MARGIN, so each weight exceeds SINGULAR_MARGIN.
         weights = 1.0 - (1.0 - r) * a
-        if weights.size and float(np.min(weights)) <= SINGULAR_MARGIN:
-            raise NotPositive("I - (1-r) S is not positive definite")
         d_hat = self.s_spectrum.eigenvectors.T @ self.delta
         mean_term = 0.5 * float(np.sum(d_hat * d_hat / weights))
         if r < 0.5:
@@ -412,6 +417,8 @@ def equivalence_data(nu: GaussianMeasure, mu: GaussianMeasure) -> GaussianPair:
         Cholesky factorization fails.
     DimMismatch
         if the measures live on different spaces.
+    NonFinite
+        if the whitened covariance ``L^{-1} C_nu L^{-T}`` overflows a double.
 
     Warns :class:`~gaussdiv.errors.IllConditioned` when ``mu.cov`` has a
     condition number beyond ``CONDITION_WARN``.

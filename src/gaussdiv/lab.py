@@ -48,7 +48,7 @@ from .gaussian import (
     exact_divergence,
     exact_renyi,
 )
-from .operators import SINGULAR_MARGIN, TraceClassBlock, _for_row_blocks, _spectral_sqrt, sym_eigen
+from .operators import SINGULAR_MARGIN, TraceClassBlock, _for_row_blocks, _spectral_sqrt, _symmetrized, sym_eigen
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
@@ -180,7 +180,7 @@ def gen_measure(family: SpectrumFamily, seed: int, mean_scale: float = 0.0) -> G
     q = _haar_frame(seed, family.dim)
     cov = (q * family.eigenvalues()) @ q.T
     mean = mean_scale * standard_normal(seed, STREAM_MEAN, family.dim)
-    return GaussianMeasure(mean, TraceClassBlock(0.5 * (cov + cov.T)))
+    return GaussianMeasure(mean, cov)
 
 
 def _sample_count(n) -> int:
@@ -302,7 +302,7 @@ def gauss_exp_quadratic(
         raise ValueError(f"M has dim {m_op.dim}, measure has dim {measure.dim}")
     root = _spectral_sqrt(measure.spectrum).entries
     t_mat = root @ m_op.entries @ root
-    spec = sym_eigen(TraceClassBlock(0.5 * (t_mat + t_mat.T)))
+    spec = sym_eigen(TraceClassBlock(_symmetrized(t_mat)))
     t_eig = spec.eigenvalues
     if t_eig.size and float(np.max(t_eig)) >= 1.0 - SINGULAR_MARGIN:
         raise NotPositive("I - Q^{1/2} M Q^{1/2} is not positive definite")
@@ -459,5 +459,5 @@ def default_rn_pair(seed: int) -> tuple[GaussianMeasure, GaussianMeasure]:
     s_mat = (q * np.linspace(-0.5, 0.5, 5)) @ q.T
     cov = root @ (np.eye(5) - s_mat) @ root
     shift = root @ (0.4 * standard_normal(split_seed(seed, 13), STREAM_MEAN, 5))
-    nu = GaussianMeasure(mu.mean + shift, TraceClassBlock(0.5 * (cov + cov.T)))
+    nu = GaussianMeasure(mu.mean + shift, cov)
     return nu, mu

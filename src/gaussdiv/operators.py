@@ -98,7 +98,8 @@ class TraceClassBlock:
     Entries are symmetrized exactly on construction; input asymmetric beyond
     ``_SYM_TOL * max|entries|`` is rejected.  Input that is symmetric bit for bit
     (so ``-0.0`` against ``0.0`` is not) is kept as it is: the symmetrization would
-    return the same bits.
+    return the same bits.  This is the package's one way to make a symmetric block; a
+    product whose rounding may cancel beyond the tolerance passes ``_symmetrized`` first.
     """
 
     __slots__ = ("entries",)
@@ -114,18 +115,6 @@ class TraceClassBlock:
             raise ValueError("TraceClassBlock entries are not symmetric within tolerance")
         m.flags.writeable = False
         self.entries = m
-
-    @classmethod
-    def _symmetric(cls, m: np.ndarray) -> "TraceClassBlock":
-        """The block of ``m``, which its maker built exactly symmetric, taken as it is: the
-        symmetry check and the symmetrization of construction would leave it unchanged.
-        Nonfinite entries still raise :class:`NonFinite`."""
-        if not np.all(np.isfinite(m)):
-            raise NonFinite("TraceClassBlock entries contains NaN or Inf")
-        m.flags.writeable = False
-        block = cls.__new__(cls)
-        block.entries = m
-        return block
 
     @property
     def dim(self) -> int:
@@ -380,8 +369,7 @@ def shifted_inv(op: ShiftedOperator) -> ShiftedOperator:
         raise NotPositive("shifted operator is not positive definite")
     if spec is not None:
         v = spec.eigenvectors
-        inv_block = (v * (1.0 / (tau + c) - 1.0 / c)) @ v.T
-        inv_block = 0.5 * (inv_block + inv_block.T)
+        inv_block = TraceClassBlock((v * (1.0 / (tau + c) - 1.0 / c)) @ v.T)
     else:
         dim = op.dim
         inv_block = np.linalg.inv(op.block + c * np.eye(dim)) - np.eye(dim) / c
@@ -406,8 +394,8 @@ def _spectral_sqrt(spec: Spectrum) -> TraceClassBlock:
     lam = spec.eigenvalues
     if _exact_verdicts(lam[::-1])[0]:
         raise NotPSD("matrix has a genuinely negative eigenvalue")
-    root = (spec.eigenvectors * np.sqrt(np.clip(lam, 0.0, None))) @ spec.eigenvectors.T
-    return TraceClassBlock(0.5 * (root + root.T))
+    v = spec.eigenvectors
+    return TraceClassBlock((v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T)
 
 
 def _warn_ill_conditioned(ill: bool) -> None:

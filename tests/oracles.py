@@ -59,6 +59,16 @@ def overflowing_mean_pair():
     return nu, GaussianMeasure([-1e308, 1e308], np.eye(2))
 
 
+def overflowing_whitening_pair():
+    """A dim-3 pair with covariance entries near 1e308, one below the diagonal a factor
+    ``1 + 1e-12`` off, against a unit-scale base (``huge3/p3`` of the CLI battery), so that
+    the whitened covariance ``L^{-1} C_nu L^{-T}`` overflows a double."""
+    off, skewed = 1e307, 1e307 * (1.0 + 1e-12)
+    cov = [[1.6e308, off, 0.0], [skewed, 1.2e308, off], [0.0, skewed, 9e307]]
+    nu = GaussianMeasure(np.zeros(3), cov)
+    return nu, gen_measure(SpectrumFamily.power_law(3, 1.5), 3, 0.3)
+
+
 def perturbed_pair(rng, dim, s_radius=0.5, mean_scale=0.4):
     """Equivalent pair: nu is mu pushed through I - S with spectrum in [-s_radius, s_radius]."""
     mu = rand_measure(rng, dim, lo=0.2, hi=2.0, mean_scale=0.3)

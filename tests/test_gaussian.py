@@ -20,6 +20,7 @@ from oracles import (
     hellinger_closed,
     kl_closed,
     overflowing_mean_pair,
+    overflowing_whitening_pair,
     perturbed_pair,
     rand_measure,
     renyi_closed,
@@ -598,11 +599,15 @@ class TestOverflow:
         (far_pair, lambda nu, mu: gd.sweep_gamma(nu, mu, "hellinger", [1e-1, 1e-3])[-1].regularized),
         (overflowing_mean_pair, lambda nu, mu: gd.exact_hellinger(nu, mu)),
         (overflowing_mean_pair, lambda nu, mu: gd.regularized_hellinger(nu, mu, 1e-3)),
+        (overflowing_whitening_pair, lambda nu, mu: gd.exact_hellinger(nu, mu)),
+        (overflowing_whitening_pair, lambda nu, mu: gd.regularized_hellinger(nu, mu, 1e-3)),
     ], ids=["exact", "regularized", "gamma sweep", "exact, overflowing means",
-            "regularized, overflowing means"])
+            "regularized, overflowing means", "exact, overflowing whitening",
+            "regularized, overflowing whitening"])
     def test_hellinger_is_sqrt_2(self, pair, call):
         # The Hellinger distance is bounded: an overflowing Renyi value is exp(-inf) = 0 away.
-        # Where the mean difference itself overflows, so does D_B >= |dm|^2 / (8 lambda_max).
+        # Where the mean difference itself overflows, so does D_B >= |dm|^2 / (8 lambda_max);
+        # where the whitened covariance does, one eigenvalue above 1e308 makes D_B >= 177.
         nu, mu = pair()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -658,6 +663,25 @@ class TestOverflow:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(gd.NonFinite, match="mean difference"):
                 gd.log_radon_nikodym_batch(np.zeros((3, 2)), nu, mu)
+
+    @pytest.mark.parametrize("call", [
+        lambda nu, mu: gd.exact_kl(nu, mu),
+        lambda nu, mu: gd.exact_bhattacharyya(nu, mu),
+        lambda nu, mu: gd.exact_renyi(nu, mu, 1e-13),
+        lambda nu, mu: gd.exact_renyi(nu, mu, 0.3),
+        lambda nu, mu: gd.exact_renyi(nu, mu, 0.0),
+        lambda nu, mu: gd.equivalence_data(nu, mu),
+        lambda nu, mu: gd.log_radon_nikodym_batch(np.zeros((2, 3)), nu, mu),
+    ], ids=["kl", "bhatt", "renyi 1e-13", "renyi 0.3", "renyi 0", "equivalence_data",
+            "log_radon_nikodym_batch"])
+    def test_an_overflowing_whitened_covariance_raises(self, call):
+        # The error names the whitened covariance, not the block class that would hold it.
+        nu, mu = overflowing_whitening_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(gd.NonFinite, match=r"^the whitened covariance L\^\{-1\} C_nu "
+                                                   r"L\^\{-T\} does not fit in a double$"):
+                call(nu, mu)
 
     def test_nan_raises_for_every_kind(self):
         # A NaN Renyi value would pass the Hellinger transform as 0.

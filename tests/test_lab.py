@@ -149,6 +149,14 @@ class TestGenMeasure:
         c = gd.gen_measure(fam, seed=2, mean_scale=0.5)
         assert np.max(np.abs(a.cov.entries - c.cov.entries)) > 1e-6
 
+    def test_a_spectrum_near_the_top_of_the_double_range_builds(self):
+        # (q * lambda) @ q.T is finite, but its sum with its transpose overflows a double.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            measure = gd.gen_measure(gd.SpectrumFamily.explicit([1.5e308, 1, 1]), 1)
+        assert np.all(np.isfinite(measure.cov.entries))
+        assert measure.cov.entries.max() > 0.5 * np.finfo(float).max
+
     def test_zero_mean_scale(self):
         measure = gd.gen_measure(gd.SpectrumFamily.power_law(4), seed=3)
         assert_allclose(measure.mean, np.zeros(4))

@@ -131,6 +131,89 @@ class TestNearTheTopOfTheDoubleRange:
         assert gd.operators._spectrum_verdicts(np.eye(40), 0.0, floors) == (False, False, False)
 
 
+def _frozen(x):
+    """The symmetrization that each product below was once written with by hand."""
+    return 0.5 * (x + x.T)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _frozen_root(spec):
+    v = spec.eigenvectors
+    return _frozen((v * np.sqrt(np.clip(spec.eigenvalues, 0.0, None))) @ v.T)
+
+
+class TestEveryProductIsSymmetrizedByTheConstructor:
+    """Each product that becomes a symmetric block goes through ``TraceClassBlock`` (after
+    ``_symmetrized`` where its rounding may cancel), bit for bit as the frozen
+    ``0.5 * (x + x.T)``."""
+
+    DIMS = (3, 40, 72)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_psd_sqrt(self, dim):
+        block = gd.TraceClassBlock(rand_spd(np.random.default_rng(dim), dim))
+        assert _same_bits(gd.psd_sqrt(block).entries, _frozen_root(gd.sym_eigen(block)))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_shifted_inv(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        q = rand_orthogonal(rng, dim)
+        block = gd.TraceClassBlock(_frozen((q * rng.uniform(-0.5, 1.5, dim)) @ q.T))
+        op = gd.ShiftedOperator(block, 0.7)
+        spec = gd.sym_eigen(gd.TraceClassBlock(op.block))
+        v, tau = spec.eigenvectors, spec.eigenvalues
+        want = _frozen((v * (1.0 / (tau + op.shift) - 1.0 / op.shift)) @ v.T)
+        assert _same_bits(gd.shifted_inv(op).block, want)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_gen_measure(self, dim):
+        family = gd.SpectrumFamily.power_law(dim, 1.5)
+        q = gd.lab._haar_frame(dim, dim)
+        want = _frozen((q * family.eigenvalues()) @ q.T)
+        assert _same_bits(gd.gen_measure(family, dim, 0.3).cov.entries, want)
+
+    @pytest.mark.parametrize("seed", [7, 42, 1234])
+    def test_default_rn_pair(self, seed):
+        nu, mu = gd.default_rn_pair(seed)
+        root = _frozen_root(mu.spectrum)
+        q = gd.lab._haar_frame(gd.split_seed(seed, 12), 5)
+        s_mat = (q * np.linspace(-0.5, 0.5, 5)) @ q.T
+        assert _same_bits(nu.cov.entries, _frozen(root @ (np.eye(5) - s_mat) @ root))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_posterior(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        obs_dim = max(1, dim // 2)
+        prior = gd.GaussianMeasure(0.5 * rng.standard_normal(dim), rand_spd(rng, dim, lo=0.2))
+        a = rng.standard_normal((obs_dim, dim))
+        noise = rand_spd(rng, obs_dim, lo=0.3, hi=1.5)
+        model = gd.LinearGaussianModel(a, noise, prior, rng.standard_normal(obs_dim))
+        ac0 = a @ prior.cov.entries
+        factor = gd.operators._shifted_cholesky(_frozen(noise + ac0 @ a.T), 0.0)[0]
+        cov = prior.cov.entries - ac0.T @ scipy.linalg.cho_solve((factor, True), ac0)
+        assert _same_bits(gd.posterior(model).cov.entries, _frozen(cov))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_gauss_exp_quadratic(self, dim, monkeypatch):
+        rng = np.random.default_rng(300 + dim)
+        measure = gd.GaussianMeasure(np.zeros(dim), rand_spd(rng, dim))
+        m_op = gd.TraceClassBlock(_frozen(rng.standard_normal((dim, dim))) / (4.0 * dim))
+        seen = []  # the block of T that gauss_exp_quadratic decomposes
+
+        def record(t):
+            seen.append(t.entries)
+            return gd.sym_eigen(t)
+
+        monkeypatch.setattr(gd.lab, "sym_eigen", record)
+        gd.gauss_exp_quadratic(measure, m_op, np.zeros(dim))
+        root = _frozen_root(measure.spectrum)
+        assert len(seen) == 1
+        assert _same_bits(seen[0], _frozen(root @ m_op.entries @ root))
+
+
 class TestShiftedOperator:
     def test_nonsymmetric_block_kept_verbatim(self):
         block = np.array([[0.0, 1.0], [0.0, 0.0]])

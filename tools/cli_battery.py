@@ -58,7 +58,9 @@ gamma above, runs on pairs of written measures whose covariance entries lie
 near 1e308 (``huge3``, ``huge3b``, ``huge40``, ``huge40b``: diagonals whose
 doubles overflow, two of them asymmetric within tolerance) and on ``huge3/p3``
 and ``e40/huge40``; their covariances must stay finite, and the calls print no
-``nan`` and raise no numpy warning.
+``nan`` and raise no numpy warning.  The last two calls ``gen`` a measure of
+eigenvalues ``1.5e308,1,1`` (``huge_gen``), whose covariance product must not
+overflow either, and take its exact KL against ``p3``.
 """
 
 from __future__ import annotations
@@ -243,6 +245,9 @@ def _calls(tmp: str):
     for nu, mu in HUGE_PAIRS:
         for kind, r in KINDS:
             yield from _div_calls(_pair(tmp, nu, mu), kind, r)
+    path = os.path.join(tmp, "huge_gen.json")
+    yield ["gen", "--family", "explicit", "--values", "1.5e308,1,1", "--seed", "1", "--out", path], path
+    yield ["div", "--kind", "kl", "--exact", *_pair(tmp, "huge_gen", "p3")], None
 
 
 def _div_calls(pair: list[str], kind: str, r):
